@@ -6,7 +6,7 @@ classify each leak as Intra, ICC, or IAC.
 """
 
 from .icc import IccLink, IntentValue, LinkDb, match_links, resolve_intent_values
-from .instrument import instrument, instrument_model, synthesize_dummy_main
+from .instrument import instrument_model, synthesize_dummy_main
 from .ir import AppModel, Component, ComponentKind, StmtId
 from .parser import load_app, parse_app, serialize_app
 from .taint import AnalysisReport, SourceSinkConfig, TaintedPath, analyze
@@ -25,7 +25,6 @@ __all__ = [
     "StmtId",
     "TaintedPath",
     "analyze",
-    "instrument",
     "instrument_model",
     "load_app",
     "match_links",

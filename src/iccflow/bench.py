@@ -13,7 +13,6 @@ truth line are false warnings; truth lines no report matches are misses.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
@@ -229,15 +228,10 @@ def score(cases: list[CaseResult]) -> BenchReport:
     return BenchReport(cases=ordered, metrics=Metrics(hits, fp, fn))
 
 
-def run_bench(corpus_root: str, config: SourceSinkConfig, jobs: int = 1) -> BenchReport:
+def run_bench(corpus_root: str, config: SourceSinkConfig) -> BenchReport:
     root = Path(corpus_root)
     case_dirs = sorted(str(d) for d in root.iterdir() if d.is_dir() and (d / "truth").exists())
-    if jobs > 1 and len(case_dirs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cases = list(pool.map(lambda d: run_case(d, config), case_dirs))
-    else:
-        cases = [run_case(d, config) for d in case_dirs]
-    return score(cases)
+    return score([run_case(d, config) for d in case_dirs])
 
 
 def render_bench(report: BenchReport, fmt: str = "text") -> str:

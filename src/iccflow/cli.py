@@ -1,7 +1,7 @@
 """Command-line front end for the whole pipeline.
 
 Subcommands: check, links, instrument, combine, analyze, bench. Reports go
-to standard output (byte-identical across runs and --jobs settings);
+to standard output (byte-identical across runs);
 diagnostics and timings go to standard error. Exit status 0 on success, 1
 when analysis-level diagnostics were produced, 2 on usage errors.
 """
@@ -27,7 +27,11 @@ from .icc import (
 from .instrument import InstrumentError, instrument_model
 from .ir import AppModel, Diagnostic, error
 from .parser import corpus_files, load_corpus, serialize_app
-from .taint import analyze, load_config, render_report
+from .taint import SourceSinkConfig, analyze, load_config, render_report
+
+
+class _Failed(Exception):
+    """Ends a command with exit status 1; its reasons are already on stderr."""
 
 
 def _print_diags(diags: list[Diagnostic]) -> None:
@@ -35,7 +39,8 @@ def _print_diags(diags: list[Diagnostic]) -> None:
         print(str(d), file=sys.stderr)
 
 
-def _load_models(paths: list[str]) -> tuple[list[AppModel], list[Diagnostic]]:
+def _load_models(paths: list[str]) -> list[AppModel]:
+    """Load the inputs and print their diagnostics; fail on any error."""
     files: list[str] = []
     for p in paths:
         if os.path.isdir(p):
@@ -58,7 +63,18 @@ def _load_models(paths: list[str]) -> tuple[list[AppModel], list[Diagnostic]]:
         else:
             seen[app.app_id] = app.source_path or "<input>"
             unique.append(app)
-    return unique, diags
+    _print_diags(diags)
+    if any(d.severity == "error" for d in diags):
+        raise _Failed
+    return unique
+
+
+def _read_config(path: str) -> SourceSinkConfig:
+    try:
+        return load_config(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise _Failed from None
 
 
 def _resolve_links(apps: list[AppModel], db_path: Optional[str]) -> LinkResult:
@@ -90,20 +106,14 @@ def _resolve_links(apps: list[AppModel], db_path: Optional[str]) -> LinkResult:
 
 
 def _cmd_check(args) -> int:
-    apps, diags = _load_models(args.paths)
-    _print_diags(diags)
-    if any(d.severity == "error" for d in diags):
-        return 1
+    apps = _load_models(args.paths)
     components = sum(len(a.components) for a in apps)
     print(f"ok: {len(apps)} app(s), {components} component(s)")
     return 0
 
 
 def _cmd_links(args) -> int:
-    apps, diags = _load_models(args.paths)
-    _print_diags(diags)
-    if any(d.severity == "error" for d in diags):
-        return 1
+    apps = _load_models(args.paths)
     result = _resolve_links(apps, args.db)
     for link in result.links:
         flavor = "exact" if link.exact else "fuzzy"
@@ -114,20 +124,13 @@ def _cmd_links(args) -> int:
 
 
 def _cmd_instrument(args) -> int:
-    apps, diags = _load_models(args.paths)
-    _print_diags(diags)
-    if any(d.severity == "error" for d in diags):
-        return 1
+    apps = _load_models(args.paths)
     result = _resolve_links(apps, args.db)
     _print_diags(result.diagnostics)
     status = 1 if result.diagnostics else 0
-    outputs = []
-    for app in sorted(apps, key=lambda a: a.app_id):
-        try:
-            outputs.append(instrument_model(app, result.links))
-        except InstrumentError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    outputs = [
+        instrument_model(app, result.links) for app in sorted(apps, key=lambda a: a.app_id)
+    ]
     if args.output:
         os.makedirs(args.output, exist_ok=True)
         for app in outputs:
@@ -140,10 +143,7 @@ def _cmd_instrument(args) -> int:
 
 
 def _cmd_combine(args) -> int:
-    apps, diags = _load_models(args.paths)
-    _print_diags(diags)
-    if any(d.severity == "error" for d in diags):
-        return 1
+    apps = _load_models(args.paths)
     result = _resolve_links(apps, args.db)
     _print_diags(result.diagnostics)
     graph = build_iac_graph([a.app_id for a in apps], result.links)
@@ -153,18 +153,11 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    apps, diags = _load_models(args.paths)
-    _print_diags(diags)
-    if any(d.severity == "error" for d in diags):
-        return 1
-    try:
-        config = load_config(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    apps = _load_models(args.paths)
+    config = _read_config(args.config)
     result = _resolve_links(apps, args.db)
     _print_diags(result.diagnostics)
-    report = analyze(apps, result.links, config, max_len=args.max_len, jobs=args.jobs)
+    report = analyze(apps, result.links, config, max_len=args.max_len)
     _print_diags(report.diagnostics)
     for name, seconds in report.timings:
         print(f"[time] {name}: {seconds:.3f}s", file=sys.stderr)
@@ -173,15 +166,21 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        config = load_config(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    report = run_bench(args.root, config, jobs=args.jobs)
+    report = run_bench(args.root, _read_config(args.config))
     _print_diags(report.diagnostics)
     sys.stdout.write(render_bench(report, args.format))
     return 1 if any(not c.valid for c in report.cases) else 0
+
+
+def _max_len(text: str) -> int:
+    """argparse type of --max-len: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -191,44 +190,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_inputs(p):
+    def add_command(name, func, summary, db=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("paths", nargs="+", help=".cir files or directories")
+        if db:
+            p.add_argument("--db", help="link database to reuse and refresh")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check", help="parse and validate models")
-    add_inputs(p)
-    p.set_defaults(func=_cmd_check)
+    add_command("check", _cmd_check, "parse and validate models", db=False)
+    add_command("links", _cmd_links, "resolve ICC links")
 
-    p = sub.add_parser("links", help="resolve ICC links")
-    add_inputs(p)
-    p.add_argument("--db", help="link database to reuse and refresh")
-    p.set_defaults(func=_cmd_links)
-
-    p = sub.add_parser("instrument", help="rewrite ICC calls into direct calls")
-    add_inputs(p)
-    p.add_argument("--db", help="link database to reuse and refresh")
+    p = add_command("instrument", _cmd_instrument, "rewrite ICC calls into direct calls")
     p.add_argument("-o", "--output", help="directory for instrumented .cir files")
-    p.set_defaults(func=_cmd_instrument)
 
-    p = sub.add_parser("combine", help="print the combined-analysis plan")
-    add_inputs(p)
-    p.add_argument("--db", help="link database to reuse and refresh")
-    p.add_argument("--max-len", type=int, default=2, help="max apps per analyzed set")
-    p.set_defaults(func=_cmd_combine)
+    p = add_command("combine", _cmd_combine, "print the combined-analysis plan")
+    p.add_argument("--max-len", type=_max_len, default=2, help="max apps per analyzed set")
 
-    p = sub.add_parser("analyze", help="run the full leak analysis")
-    add_inputs(p)
-    p.add_argument("--db", help="link database to reuse and refresh")
+    p = add_command("analyze", _cmd_analyze, "run the full leak analysis")
     p.add_argument("--config", required=True, help="source/sink configuration file")
-    p.add_argument("--max-len", type=int, default=2, help="max apps per analyzed set")
+    p.add_argument("--max-len", type=_max_len, default=2, help="max apps per analyzed set")
     p.add_argument("--format", choices=("text", "tsv"), default="text")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent app sets")
-    p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("bench", help="run a labeled corpus and score it")
     p.add_argument("root", help="corpus root containing case directories")
     p.add_argument("--config", required=True, help="source/sink configuration file")
     p.add_argument("--format", choices=("text", "tsv"), default="text")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent cases")
     p.set_defaults(func=_cmd_bench)
     return parser
 
@@ -238,8 +225,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LinkDbError as exc:
+    except (LinkDbError, InstrumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except _Failed:
         return 1
 
 

@@ -50,15 +50,6 @@ class IacGraph:
     # key is the sorted app pair
     edges: dict[tuple[str, str], list[IccLink]] = field(default_factory=dict)
 
-    def neighbors(self, app_id: str) -> list[str]:
-        out = []
-        for a, b in self.edges:
-            if a == app_id:
-                out.append(b)
-            elif b == app_id:
-                out.append(a)
-        return sorted(out)
-
 
 def build_iac_graph(apps: list[str], links: list[IccLink]) -> IacGraph:
     graph = IacGraph(nodes=sorted(apps))
@@ -74,14 +65,10 @@ def build_iac_graph(apps: list[str], links: list[IccLink]) -> IacGraph:
     return graph
 
 
-def _components_of(graph: IacGraph) -> list[list[str]]:
-    adj: dict[str, set[str]] = {n: set() for n in graph.nodes}
-    for a, b in graph.edges:
-        adj[a].add(b)
-        adj[b].add(a)
+def _components_of(nodes: list[str], adj: dict[str, set[str]]) -> list[list[str]]:
     seen: set[str] = set()
     out: list[list[str]] = []
-    for start in graph.nodes:
+    for start in nodes:
         if start in seen:
             continue
         stack, group = [start], []
@@ -137,7 +124,7 @@ def split_graph(graph: IacGraph, max_len: int = 2) -> list[frozenset[str]]:
         adj[a].add(b)
         adj[b].add(a)
     out: list[frozenset[str]] = []
-    for group in _components_of(graph):
+    for group in _components_of(graph.nodes, adj):
         if len(group) <= max_len:
             out.append(frozenset(group))
         else:

@@ -26,11 +26,9 @@ from typing import Iterable, Optional, Union
 from .ir import (
     AppModel,
     Assign,
-    Block,
     Branch,
     Call,
     Component,
-    ComponentKind,
     Const,
     Diagnostic,
     Fallthrough,
@@ -43,7 +41,6 @@ from .ir import (
     NewIntent,
     PROVIDER_ICC_KINDS,
     PutExtra,
-    Return,
     SetAction,
     SetCategory,
     SetDataType,
@@ -186,10 +183,6 @@ def _join_envs(a: dict, b: dict) -> dict:
         else:
             out[var] = val
     return out
-
-
-def _env_le(small: dict, big: dict) -> bool:
-    return _join_envs(small, big) == big
 
 
 def _as_str_set(val: Optional[AbsVal]) -> StrSet:
@@ -420,10 +413,13 @@ def match_links(
     kind-compatible components corpus-wide. Provider calls resolve to nothing
     by design. Missing explicit targets become diagnostics, not errors.
     """
-    apps = list(corpus)
     components: list[Component] = []
     by_qualified: dict[str, Component] = {}
-    for app in apps:
+    kinds: dict[StmtId, str] = {}
+    for app in corpus:
+        for _c, _m, _b, stmt in app.iter_stmts():
+            if isinstance(stmt, IccCall):
+                kinds[stmt.sid] = stmt.kind
         for comp in app.components:
             components.append(comp)
             by_qualified[comp.qualified_name] = comp
@@ -433,7 +429,7 @@ def match_links(
     for app_id in sorted(values_by_app):
         for sid in sorted(values_by_app[app_id]):
             value = values_by_app[app_id][sid]
-            kind = _kind_of(sid, apps)
+            kind = kinds.get(sid)
             if kind is None or kind in PROVIDER_ICC_KINDS:
                 continue
             want = ICC_KINDS[kind]
@@ -475,23 +471,6 @@ def match_links(
 
     result.links = sorted(links)
     return result
-
-
-def _kind_of(sid: StmtId, apps: list[AppModel]) -> Optional[str]:
-    for app in apps:
-        for comp in app.components:
-            if comp.origin_app != sid.app or comp.name != sid.cls:
-                continue
-            m = comp.find_method(sid.method)
-            if m is None:
-                continue
-            b = m.block(sid.block)
-            if b is None or sid.index >= len(b.stmts):
-                continue
-            stmt = b.stmts[sid.index]
-            if isinstance(stmt, IccCall):
-                return stmt.kind
-    return None
 
 
 def resolve_corpus(apps: list[AppModel]) -> dict[str, dict[StmtId, IntentValue]]:
@@ -653,18 +632,3 @@ class LinkDb:
         if entry is not None and entry.text_hash == text_hash:
             return dict(entry.values)
         return None
-
-    def all_links(self) -> list[IccLink]:
-        links: set[IccLink] = set()
-        for entry in self.entries.values():
-            links.update(entry.links)
-        return sorted(links)
-
-
-def store_links(db: LinkDb, db_path: str) -> None:
-    db.save(db_path)
-
-
-def load_links(db_path: str) -> list[IccLink]:
-    """Union of the stored links of every app in the database."""
-    return LinkDb.load(db_path).all_links()

@@ -329,18 +329,14 @@ def _replace_site(
     method.blocks[pos:pos] = new_blocks + [cont]
 
 
-def instrument(corpus: list[AppModel], links: list[IccLink]) -> list[AppModel]:
-    """Return transformed copies of the models with redirects and drivers.
+def instrument_model(model: AppModel, links: list[IccLink]) -> AppModel:
+    """Return a transformed copy of the model with redirects and drivers.
 
-    Each model realizes the links whose both endpoints live inside it; links
+    The model realizes the links whose both endpoints live inside it; links
     that point outside (a split window dropped the partner app) leave the
     call site untouched. A model showing any synthetic marker or reserved
     name is rejected rather than instrumented twice.
     """
-    return [instrument_model(model, links) for model in corpus]
-
-
-def instrument_model(model: AppModel, links: list[IccLink]) -> AppModel:
     if _already_instrumented(model):
         raise InstrumentError(
             f"{model.app_id}: model is already instrumented "

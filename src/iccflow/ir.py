@@ -403,50 +403,6 @@ def warning(message: str, file: Optional[str] = None, line: int = 0, column: int
 
 
 # ---------------------------------------------------------------------------
-# Indexing
-# ---------------------------------------------------------------------------
-
-
-class ModelIndex:
-    """Lookup structures over a validated model.
-
-    ``lookup`` is total on validated models: every StmtId stamped on a
-    statement maps back to exactly that statement.
-    """
-
-    def __init__(self, app: AppModel):
-        self.app = app
-        self.stmts: dict[StmtId, Stmt] = {}
-        self.owner: dict[StmtId, tuple[Component, Method, Block]] = {}
-        self.classes: dict[str, Component] = {}
-        self.by_qualified: dict[str, Component] = {}
-        self.methods: dict[tuple[str, str, str], tuple[Component, Method]] = {}
-        self.tags: dict[str, list[StmtId]] = {}
-        for c in app.components:
-            self.classes[c.name] = c
-            self.by_qualified[c.qualified_name] = c
-            for m in c.methods():
-                self.methods[(c.origin_app, c.name, m.name)] = (c, m)
-                for b in m.blocks:
-                    for s in b.stmts:
-                        if s.sid is not None:
-                            self.stmts[s.sid] = s
-                            self.owner[s.sid] = (c, m, b)
-                            if s.tag:
-                                self.tags.setdefault(s.tag, []).append(s.sid)
-
-    def lookup(self, sid: StmtId) -> Stmt:
-        return self.stmts[sid]
-
-    def owner_of(self, sid: StmtId) -> tuple[Component, Method, Block]:
-        return self.owner[sid]
-
-
-def index_model(app: AppModel) -> ModelIndex:
-    return ModelIndex(app)
-
-
-# ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
 

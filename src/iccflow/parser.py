@@ -28,7 +28,6 @@ from .ir import (
     ComponentKind,
     Const,
     Diagnostic,
-    Fallthrough,
     FieldLoad,
     FieldStore,
     Finish,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
@@ -26,12 +25,11 @@ from .instrument import InstrumentError, instrument_model
 from .ir import (
     AppModel,
     Assign,
-    Block,
-    Branch,
     Call,
     Component,
     Const,
     Diagnostic,
+    Fallthrough,
     FieldLoad,
     FieldStore,
     Goto,
@@ -126,7 +124,7 @@ class Cfg:
 def _effective_term(method: Method, idx: int):
     block = method.blocks[idx]
     term = block.term
-    if type(term).__name__ == "Fallthrough":
+    if isinstance(term, Fallthrough):
         if idx + 1 < len(method.blocks):
             return Goto(method.blocks[idx + 1].label)
         return Return()
@@ -144,32 +142,52 @@ class _MethodShape:
         self.index = {b.label: i for i, b in enumerate(method.blocks)}
         self._first: dict[str, list[Node]] = {}
 
-    def first_real(self, label: str, _guard: Optional[set] = None) -> list[Node]:
-        """First actual node(s) reached when control enters the block."""
+    def first_real(self, label: str) -> list[Node]:
+        """First actual node(s) reached when control enters the block.
+
+        Empty blocks are walked through depth-first, left branch first, with
+        an explicit stack; a label met again within one walk (an empty
+        cycle) contributes nothing.
+        """
         if label in self._first:
             return self._first[label]
-        guard = _guard if _guard is not None else set()
-        if label in guard:
-            return []
-        guard.add(label)
-        idx = self.index.get(label)
-        if idx is None:
-            return []
-        block = self.method.blocks[idx]
-        if block.stmts:
-            out = [("stmt", block.stmts[0].sid)]
-        else:
-            term = _effective_term(self.method, idx)
-            if isinstance(term, Return):
-                out = [("retval", (self.mk, label))]
-            elif isinstance(term, Goto):
-                out = self.first_real(term.label, guard)
-            else:  # Branch
-                left = self.first_real(term.left, guard)
-                right = self.first_real(term.right, guard)
+        guard: set[str] = set()
+        results: list[list[Node]] = []
+        # ("enter", label) visits a block; ("goto"/"branch", label) combines
+        # the results its successors left on top of ``results``.
+        stack: list[tuple[str, str]] = [("enter", label)]
+        while stack:
+            op, lbl = stack.pop()
+            if op == "goto":
+                out = results.pop()
+            elif op == "branch":
+                right = results.pop()
+                left = results.pop()
                 out = left + [n for n in right if n not in left]
-        self._first[label] = out
-        return out
+            elif lbl in self._first:
+                results.append(self._first[lbl])
+                continue
+            elif lbl in guard or lbl not in self.index:
+                results.append([])
+                continue
+            else:
+                guard.add(lbl)
+                idx = self.index[lbl]
+                block = self.method.blocks[idx]
+                term = _effective_term(self.method, idx)
+                if block.stmts:
+                    out = [("stmt", block.stmts[0].sid)]
+                elif isinstance(term, Return):
+                    out = [("retval", (self.mk, lbl))]
+                elif isinstance(term, Goto):
+                    stack += [("goto", lbl), ("enter", term.label)]
+                    continue
+                else:  # Branch
+                    stack += [("branch", lbl), ("enter", term.right), ("enter", term.left)]
+                    continue
+            self._first[lbl] = out
+            results.append(out)
+        return results.pop()
 
     def term_targets(self, idx: int) -> list[Node]:
         term = _effective_term(self.method, idx)
@@ -187,7 +205,6 @@ def _resolve_callee(
     cfg: Cfg,
     comp: Component,
     stmt: Call,
-    classes: dict[tuple[str, str], Component],
     by_name: dict[str, list[Component]],
     by_qualified: dict[str, Component],
 ) -> Optional[tuple[Component, Method]]:
@@ -221,7 +238,6 @@ def _call_info_for(
     cfg: Cfg,
     comp: Component,
     stmt: Stmt,
-    classes: dict[tuple[str, str], Component],
     by_name: dict[str, list[Component]],
     by_qualified: dict[str, Component],
 ) -> Optional[CallInfo]:
@@ -232,7 +248,7 @@ def _call_info_for(
     they are opaque (get_intent yields a clean value, set_result is a no-op).
     """
     if isinstance(stmt, Call):
-        resolved = _resolve_callee(cfg, comp, stmt, classes, by_name, by_qualified)
+        resolved = _resolve_callee(cfg, comp, stmt, by_name, by_qualified)
         if resolved is None:
             return None
         target, m = resolved
@@ -263,11 +279,9 @@ def build_cfg(model: AppModel) -> Cfg:
     nodes but are never rooted.
     """
     cfg = Cfg(model=model)
-    classes: dict[tuple[str, str], Component] = {}
     by_name: dict[str, list[Component]] = {}
     by_qualified: dict[str, Component] = {}
     for comp in model.components:
-        classes[(comp.origin_app, comp.name)] = comp
         by_name.setdefault(comp.name, []).append(comp)
         by_qualified[comp.qualified_name] = comp
 
@@ -301,7 +315,7 @@ def build_cfg(model: AppModel) -> Cfg:
             targets = shape.term_targets(i)
             for j, n in enumerate(nodes):
                 stmt = block.stmts[j]
-                info = _call_info_for(cfg, comp, stmt, classes, by_name, by_qualified)
+                info = _call_info_for(cfg, comp, stmt, by_name, by_qualified)
                 nxt = nodes[j + 1 : j + 2] or targets
                 if info is not None:
                     cfg.calls[stmt.sid] = info
@@ -618,44 +632,48 @@ class PathReconstructionError(Exception):
 
 
 def _trace(node: Node, fact: Fact, preds: dict, stop_at_entry: bool) -> tuple[list[Node], bool]:
-    """Walk pred records backwards; returns (source-first nodes, complete?)."""
+    """Walk pred records backwards; returns (source-first nodes, complete?).
+
+    A summary record first walks the callee back from its exit, stopping at
+    the callee's entry; if that inner walk does not reach a source, the walk
+    resumes at the call. Pending call sites wait on an explicit stack.
+    """
     out = [node]
     n, d = node, fact
+    calls: list[tuple[Node, Fact, bool]] = []
     while True:
         pr = preds.get((n, d))
-        if pr is None:
-            return list(reversed(out)), False
-        tag = pr[0]
+        tag = None if pr is None else pr[0]
         if tag == "gen":
             out.append(pr[1])
             return list(reversed(out)), True
-        if tag == "xfer":
-            if stop_at_entry:
+        if tag is None or (tag == "xfer" and stop_at_entry):
+            if not calls:
                 return list(reversed(out)), False
-            n, d = pr[1], pr[2]
+            n, d, stop_at_entry = calls.pop()
             out.append(n)
-        elif tag == "flow":
+        elif tag in ("xfer", "flow"):
             n, d = pr[1], pr[2]
             out.append(n)
         elif tag == "summary":
             _, call_node, d_call, exit_node, d_exit = pr
-            inner, complete = _trace(exit_node, d_exit, preds, stop_at_entry=True)
-            out.extend(reversed(inner))
-            if complete:
-                return list(reversed(out)), True
-            n, d = call_node, d_call
+            calls.append((call_node, d_call, stop_at_entry))
+            n, d, stop_at_entry = exit_node, d_exit, True
             out.append(n)
         else:  # pragma: no cover - exhaustive
             raise PathReconstructionError(f"unknown pred record {tag!r}")
 
 
-def classify_path(stmt_ids: Iterable[StmtId], model: AppModel) -> str:
-    """IAC when statements span two origin apps, ICC when two components.
+def classify_path(
+    stmt_ids: Iterable[StmtId], comp_of: dict[tuple[str, str], Component]
+) -> tuple[str, tuple[str, ...]]:
+    """The path's class and the sorted origin apps of its components.
 
+    IAC when statements span two origin apps, ICC when two components.
     Statements in plain helper classes (the synthesized ICC helper lives in
-    one) carry no app or component weight of their own.
+    one) carry no app or component weight of their own. ``comp_of`` maps
+    (origin app, class name) to the model's component.
     """
-    comp_of = {(c.origin_app, c.name): c for c in model.components}
     apps: set[str] = set()
     comps: set[tuple[str, str]] = set()
     for sid in stmt_ids:
@@ -665,15 +683,18 @@ def classify_path(stmt_ids: Iterable[StmtId], model: AppModel) -> str:
         apps.add(comp.origin_app)
         comps.add((comp.origin_app, comp.name))
     if len(apps) >= 2:
-        return "IAC"
-    if len(comps) >= 2:
-        return "ICC"
-    return "Intra"
+        klass = "IAC"
+    elif len(comps) >= 2:
+        klass = "ICC"
+    else:
+        klass = "Intra"
+    return klass, tuple(sorted(apps))
 
 
 def extract_paths(result: TaintResult, cfg: Cfg) -> list[TaintedPath]:
     """One witness path per distinct (origin, sink) pair, in sorted order."""
     paths: dict[tuple[StmtId, StmtId], TaintedPath] = {}
+    comp_of = {(c.origin_app, c.name): c for c in cfg.model.components}
     for hit in result.hits:
         assert hit.fact.origin is not None
         key = (hit.fact.origin, hit.sink)
@@ -687,15 +708,7 @@ def extract_paths(result: TaintResult, cfg: Cfg) -> list[TaintedPath]:
         sids = [n[1] for n in nodes if n[0] == "stmt"]
         source_stmt = cfg.stmts[sids[0]]
         assert isinstance(source_stmt, SourceCall) and sids[0] == hit.fact.origin
-        klass = classify_path(sids, cfg.model)
-        comp_of = {(c.origin_app, c.name): c for c in cfg.model.components}
-        apps = sorted(
-            {
-                comp_of[(s.app, s.cls)].origin_app
-                for s in sids
-                if (s.app, s.cls) in comp_of and comp_of[(s.app, s.cls)].kind.is_component
-            }
-        )
+        klass, apps = classify_path(sids, comp_of)
         paths[key] = TaintedPath(
             stmts=tuple(sids),
             source=hit.fact.origin,
@@ -703,7 +716,7 @@ def extract_paths(result: TaintResult, cfg: Cfg) -> list[TaintedPath]:
             source_name=source_stmt.source,
             sink_name=hit.sink_name,
             klass=klass,
-            apps=tuple(apps),
+            apps=apps,
         )
     return [paths[k] for k in sorted(paths)]
 
@@ -747,33 +760,22 @@ def analyze(
     links: list[IccLink],
     config: SourceSinkConfig,
     max_len: int = 2,
-    jobs: int = 1,
 ) -> AnalysisReport:
     """Scope, combine, instrument and propagate over a whole corpus.
 
     The corpus is split into connected app groups bounded by ``max_len``;
-    each group runs the full pipeline independently (optionally in
-    parallel), and results merge deterministically: overlapping groups may
-    rediscover the same (origin, sink) pair, which is reported once.
+    each group runs the full pipeline independently, in order, and results
+    merge deterministically: overlapping groups may rediscover the same
+    (origin, sink) pair, which is reported once.
     """
     report = AnalysisReport()
     graph = build_iac_graph([a.app_id for a in apps], links)
-    groups = [tuple(sorted(s)) for s in split_graph(graph, max_len)]
-    report.sets = groups
+    report.sets = [tuple(sorted(s)) for s in split_graph(graph, max_len)]
     by_id = {a.app_id: a for a in apps}
-
-    def run(group: tuple[str, ...]):
-        return _analyze_set(group, by_id, links, config)
-
-    if jobs > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, groups))
-    else:
-        results = [run(g) for g in groups]
-
     seen: set[tuple[StmtId, StmtId]] = set()
     merged_paths: list[TaintedPath] = []
-    for group, (paths, diags, elapsed) in zip(groups, results):
+    for group in report.sets:
+        paths, diags, elapsed = _analyze_set(group, by_id, links, config)
         report.timings.append(("+".join(group), elapsed))
         report.diagnostics.extend(diags)
         for p in paths:

@@ -186,7 +186,7 @@ def test_bench_rendering_is_stable(tmp_path, default_config):
     _case(tmp_path, "b", SENDER, "leak src snk\n")
     _case(tmp_path, "a", SENDER, "no_leaks\n")
     one = render_bench(run_bench(str(tmp_path), default_config))
-    two = render_bench(run_bench(str(tmp_path), default_config, jobs=3))
+    two = render_bench(run_bench(str(tmp_path), default_config))
     assert one == two
     assert one.index("a ") < one.index("b ")
     assert "Sum" in one and "Legend" in one

@@ -75,8 +75,8 @@ def test_graph_keeps_only_cross_app_edges():
     assert g.nodes == ["A", "B", "C"]
     assert sorted(g.edges) == [("A", "B"), ("A", "C")]
     assert len(g.edges[("A", "B")]) == 2  # both directions annotate one edge
-    assert g.neighbors("A") == ["B", "C"]
-    assert g.neighbors("C") == ["A"]
+    assert sorted(b for a, b in g.edges if a == "A") == ["B", "C"]
+    assert [a for a, b in g.edges if b == "C"] == ["A"]
 
 
 def _graph(nodes, pairs):

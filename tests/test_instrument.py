@@ -7,7 +7,6 @@ from iccflow.instrument import (
     INTENT_FIELD,
     RESULT_FIELD,
     InstrumentError,
-    instrument,
     instrument_model,
     synthesize_dummy_main,
 )
@@ -420,17 +419,6 @@ def test_links_to_components_outside_the_model_are_skipped():
     block = out.component("Main").lifecycle["onCreate"].blocks[0]
     assert type(block.stmts[4]).__name__ == "IccCall"
     assert out.component("IpcSC") is None
-
-
-def test_instrument_corpus_maps_models():
-    app = _app(SINGLE)
-    outs = instrument(
-        [app, _app('app "B" {\n  component activity Lone {\n  }\n}\n')],
-        _resolve(app),
-    )
-    assert [o.app_id for o in outs] == ["A", "B"]
-    assert outs[0].component("IpcSC") is not None
-    assert outs[1].component("IpcSC") is None
 
 
 def test_golden_instrumented_dump(repo_root):

@@ -5,7 +5,6 @@ from iccflow.ir import (
     RESERVED_CLASSES,
     RESERVED_METHODS,
     ComponentKind,
-    ModelIndex,
     StmtId,
     parse_stmt_id,
     validate,
@@ -61,15 +60,6 @@ def test_component_lookup_and_qualified_names():
     assert app.find_qualified("A/Other") is other
     assert other.find_method("onCreate") is other.lifecycle["onCreate"]
     assert other.find_method("nope") is None
-
-
-def test_model_index_is_total():
-    app = _app(APP)
-    idx = ModelIndex(app)
-    for comp, method, block, stmt in app.iter_stmts():
-        assert idx.stmts[stmt.sid] is stmt
-        c, m, b = idx.owner[stmt.sid]
-        assert (c, m, b) == (comp, method, block)
 
 
 def test_kind_tables():
