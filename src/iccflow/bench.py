@@ -96,7 +96,7 @@ def run_case(case_dir: str, config: SourceSinkConfig) -> CaseResult:
     truth_path = case / "truth"
     try:
         truth_text = truth_path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         result.valid = False
         result.diagnostics.append(Diagnostic("error", f"cannot read truth file: {exc}"))
         return result

@@ -21,10 +21,11 @@ from .icc import (
     LinkDbError,
     LinkResult,
     app_text_hash,
+    links_by_app,
     match_links,
     resolve_intent_values,
 )
-from .instrument import InstrumentError, instrument_model
+from .instrument import InstrumentError, instrument_model, local_links
 from .ir import AppModel, Diagnostic, error
 from .parser import corpus_files, load_corpus, serialize_app
 from .taint import SourceSinkConfig, analyze, load_config, render_report
@@ -96,9 +97,7 @@ def _resolve_links(apps: list[AppModel], db_path: Optional[str]) -> LinkResult:
         )
     result = match_links(values_by_app, apps)
     if db_path:
-        by_app: dict[str, list] = {}
-        for link in result.links:
-            by_app.setdefault(link.from_stmt.app, []).append(link)
+        by_app = links_by_app(result.links)
         for app in apps:
             db.put(app.app_id, hashes[app.app_id], values_by_app[app.app_id], by_app.get(app.app_id, []))
         db.save(db_path)
@@ -128,8 +127,10 @@ def _cmd_instrument(args) -> int:
     result = _resolve_links(apps, args.db)
     _print_diags(result.diagnostics)
     status = 1 if result.diagnostics else 0
+    by_app = links_by_app(result.links)
     outputs = [
-        instrument_model(app, result.links) for app in sorted(apps, key=lambda a: a.app_id)
+        instrument_model(app, local_links(app, by_app))
+        for app in sorted(apps, key=lambda a: a.app_id)
     ]
     if args.output:
         os.makedirs(args.output, exist_ok=True)
@@ -229,6 +230,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _Failed:
+        return 1
+    except OSError as exc:  # an unreadable corpus root or an unwritable -o
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

@@ -23,8 +23,8 @@ class CombineError(Exception):
 def combine(apps: list[AppModel]) -> AppModel:
     """Merge several apps into one model; components keep their origin app.
 
-    Component objects are shared with the inputs, not copied — downstream
-    transformations copy before mutating.
+    Component objects are shared with the inputs, not copied;
+    ``instrument_model`` copies on write and never mutates them.
     """
     ids = [a.app_id for a in apps]
     if len(set(ids)) != len(ids):

@@ -134,6 +134,14 @@ class IccLink:
     cross_app: bool
 
 
+def links_by_app(links: list[IccLink]) -> dict[str, list[IccLink]]:
+    """The links grouped by the app of their call site, each in input order."""
+    by_app: dict[str, list[IccLink]] = {}
+    for link in links:
+        by_app.setdefault(link.from_stmt.app, []).append(link)
+    return by_app
+
+
 @dataclass
 class LinkResult:
     links: list[IccLink] = field(default_factory=list)
@@ -560,8 +568,13 @@ class LinkDb:
     @staticmethod
     def load(path: str) -> "LinkDb":
         db = LinkDb()
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise LinkDbError(f"cannot read {path}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise LinkDbError(f"cannot read {path}: not UTF-8 text") from None
         current: Optional[DbEntry] = None
         for number, raw in enumerate(text.splitlines(), start=1):
             if not raw.strip():
@@ -599,8 +612,11 @@ class LinkDb:
         return db
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps())
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(self.dumps())
+        except OSError as exc:
+            raise LinkDbError(f"cannot write {path}: {exc.strerror}") from None
 
     def dumps(self) -> str:
         out: list[str] = []

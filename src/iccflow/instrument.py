@@ -18,11 +18,16 @@ Statements that are not ICC calls survive with their ids unchanged; ICC call
 sites with several links fan out into a nondeterministic branch over all
 their redirects, and call sites with no links at all are left in place (a
 dead call keeps an unlinked component exactly as unreachable as it was).
+
+The input model is never modified. The output copies on write: components
+are shallow copies with their own method containers, and each method holding
+a linked site is copied down to its statement lists; every other method,
+statement and filter is shared with the input.
 """
 
 from __future__ import annotations
 
-import copy
+from dataclasses import replace
 from typing import Optional
 
 from .icc import IccLink
@@ -222,34 +227,17 @@ def _already_instrumented(model: AppModel) -> bool:
     return False
 
 
-def _ensure_receiving(target: Component) -> None:
-    if target.find_method("ctor") is None:
-        ctor = _straight(
-            "ctor", ("this", "i"), [FieldStore(obj="this", fld=INTENT_FIELD, src="i")], None
-        )
-        _stamp(ctor, target.origin_app, target.name)
-        target.helpers.append(ctor)
-    if target.find_method("getIntent") is None:
-        getter = _straight(
-            "getIntent", ("this",), [FieldLoad(dst="r", obj="this", fld=INTENT_FIELD)], "r"
-        )
-        _stamp(getter, target.origin_app, target.name)
-        target.helpers.append(getter)
-
-
-def _ensure_result(target: Component) -> None:
-    if target.find_method("setResult") is None:
-        setter = _straight(
-            "setResult", ("this", "i"), [FieldStore(obj="this", fld=RESULT_FIELD, src="i")], None
-        )
-        _stamp(setter, target.origin_app, target.name)
-        target.helpers.append(setter)
-    if target.find_method("getIntentFAR") is None:
-        getter = _straight(
-            "getIntentFAR", ("this",), [FieldLoad(dst="r", obj="this", fld=RESULT_FIELD)], "r"
-        )
-        _stamp(getter, target.origin_app, target.name)
-        target.helpers.append(getter)
+def _ensure_accessors(target: Component, fld: str, setter: str, getter: str) -> None:
+    """Give the target a setter storing an intent in ``fld`` and a getter
+    reading it back, each unless the target already has it."""
+    for name, params, stmt, ret in (
+        (setter, ("this", "i"), FieldStore(obj="this", fld=fld, src="i"), None),
+        (getter, ("this",), FieldLoad(dst="r", obj="this", fld=fld), "r"),
+    ):
+        if target.find_method(name) is None:
+            method = _straight(name, params, [stmt], ret)
+            _stamp(method, target.origin_app, target.name)
+            target.helpers.append(method)
 
 
 def _redirect_body(
@@ -329,33 +317,63 @@ def _replace_site(
     method.blocks[pos:pos] = new_blocks + [cont]
 
 
-def instrument_model(model: AppModel, links: list[IccLink]) -> AppModel:
-    """Return a transformed copy of the model with redirects and drivers.
+def _own(comp: Component, touched: set[tuple[str, str, str]]) -> Component:
+    """A shallow copy of the component with its own method containers;
+    methods in ``touched`` also get their own blocks and statement lists."""
 
-    The model realizes the links whose both endpoints live inside it; links
-    that point outside (a split window dropped the partner app) leave the
-    call site untouched. A model showing any synthetic marker or reserved
-    name is rejected rather than instrumented twice.
+    def own(m: Method) -> Method:
+        if (comp.origin_app, comp.name, m.name) not in touched:
+            return m
+        return replace(m, blocks=[replace(b, stmts=list(b.stmts)) for b in m.blocks])
+
+    return replace(
+        comp,
+        lifecycle={k: own(m) for k, m in comp.lifecycle.items()},
+        callbacks=[own(m) for m in comp.callbacks],
+        helpers=[own(m) for m in comp.helpers],
+    )
+
+
+def local_links(model: AppModel, by_app: dict[str, list[IccLink]]) -> list[IccLink]:
+    """The links of ``by_app`` (see ``links_by_app``) whose call site lies in
+    the model: keyed on the components' origin apps, as a combined model's
+    id is ``A+B``, and taken in app order, so sorted links stay sorted."""
+    apps = sorted({c.origin_app for c in model.components})
+    return [link for app in apps for link in by_app.get(app, ())]
+
+
+def instrument_model(model: AppModel, links: list[IccLink]) -> AppModel:
+    """Return a copy on write of the model with redirects and drivers.
+
+    Only components, their method containers and the methods holding a
+    linked site are copied; the rest is shared with the input, which is
+    never modified. The model realizes the links whose both endpoints live
+    inside it; links that point outside (a split window dropped the partner
+    app) leave the call site untouched. A model showing any synthetic marker
+    or reserved name is rejected rather than instrumented twice.
     """
     if _already_instrumented(model):
         raise InstrumentError(
             f"{model.app_id}: model is already instrumented "
             "(synthetic markers or reserved names present)"
         )
-    out = copy.deepcopy(model)
-    local_apps = {c.origin_app for c in out.components}
-    by_qualified = {c.qualified_name: c for c in out.components}
+    local_apps = {c.origin_app for c in model.components}
+    kinds = {c.qualified_name: c.kind for c in model.components}
 
     groups: dict[StmtId, list[IccLink]] = {}
     for link in links:
         if link.from_stmt.app not in local_apps:
             continue
-        target = by_qualified.get(link.to)
-        if target is None:
+        kind = kinds.get(link.to)
+        if kind is None:
             continue  # partner app not in this model
-        if target.kind is ComponentKind.PROVIDER:
+        if kind is ComponentKind.PROVIDER:
             raise InstrumentError(f"link into provider component {link.to!r} rejected")
         groups.setdefault(link.from_stmt, []).append(link)
+
+    touched = {sid.method_key for sid in groups}
+    out = replace(model, components=[_own(c, touched) for c in model.components])
+    by_qualified = {c.qualified_name: c for c in out.components}
 
     helper: Optional[Component] = None
     redirect_n = 0
@@ -383,9 +401,9 @@ def instrument_model(model: AppModel, links: list[IccLink]) -> AppModel:
         calls: list[Call] = []
         for link in sorted(groups[sid]):
             target = by_qualified[link.to]
-            _ensure_receiving(target)
+            _ensure_accessors(target, INTENT_FIELD, "ctor", "getIntent")
             if link.kind == "start_activity_for_result":
-                _ensure_result(target)
+                _ensure_accessors(target, RESULT_FIELD, "setResult", "getIntentFAR")
             redirect = _redirect_body(redirect_n, link, comp, target)
             _stamp(redirect, out.app_id, "IpcSC")
             helper.helpers.append(redirect)

@@ -783,6 +783,8 @@ def load_app(path: str) -> ParseResult:
             text = fh.read()
     except OSError as exc:
         return ParseResult(None, [error(f"cannot read {path}: {exc.strerror}", path)])
+    except UnicodeDecodeError:
+        return ParseResult(None, [error(f"cannot read {path}: not UTF-8 text", path)])
     return parse_app(text, path)
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from .combine import build_iac_graph, combine, split_graph
-from .icc import IccLink
-from .instrument import InstrumentError, instrument_model
+from .icc import IccLink, links_by_app
+from .instrument import InstrumentError, instrument_model, local_links
 from .ir import (
     AppModel,
     Assign,
@@ -737,7 +737,7 @@ class AnalysisReport:
 def _analyze_set(
     app_ids: tuple[str, ...],
     by_id: dict[str, AppModel],
-    links: list[IccLink],
+    links: dict[str, list[IccLink]],
     config: SourceSinkConfig,
 ) -> tuple[list[TaintedPath], list[Diagnostic], float]:
     started = time.perf_counter()
@@ -745,7 +745,7 @@ def _analyze_set(
     merged = models[0] if len(models) == 1 else combine(models)
     diags: list[Diagnostic] = []
     try:
-        inst = instrument_model(merged, links)
+        inst = instrument_model(merged, local_links(merged, links))
     except InstrumentError as exc:
         return [], [Diagnostic("error", str(exc))], time.perf_counter() - started
     cfg = build_cfg(inst)
@@ -772,10 +772,11 @@ def analyze(
     graph = build_iac_graph([a.app_id for a in apps], links)
     report.sets = [tuple(sorted(s)) for s in split_graph(graph, max_len)]
     by_id = {a.app_id: a for a in apps}
+    by_app = links_by_app(links)
     seen: set[tuple[StmtId, StmtId]] = set()
     merged_paths: list[TaintedPath] = []
     for group in report.sets:
-        paths, diags, elapsed = _analyze_set(group, by_id, links, config)
+        paths, diags, elapsed = _analyze_set(group, by_id, by_app, config)
         report.timings.append(("+".join(group), elapsed))
         report.diagnostics.extend(diags)
         for p in paths:

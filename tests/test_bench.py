@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 from iccflow.bench import (
     CaseResult,
@@ -137,6 +138,11 @@ def test_case_invalid_truth(tmp_path, default_config):
     r = run_case(_case(tmp_path, "bad", SENDER, "gibberish\n"), default_config)
     assert not r.valid
     assert (r.hits, r.fp, r.fn) == (0, 0, 0)
+    undecodable = _case(tmp_path, "binary", SENDER, "")
+    (Path(undecodable) / "truth").write_bytes(b"\xff\xfeleak")
+    r = run_case(undecodable, default_config)
+    assert not r.valid
+    assert any("cannot read truth file" in d.message for d in r.diagnostics)
 
 
 def test_case_tag_must_be_unique(tmp_path, default_config):

@@ -203,6 +203,45 @@ def test_stale_db_entries_are_recomputed(corpus, capsys):
     assert "A/Out" in before and "A/Main\t" in after
 
 
+def _fails_cleanly(path, *args):
+    """Run the CLI in a fresh interpreter: exit 1, an error naming the path,
+    no traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "iccflow.cli", *args],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error: " in proc.stderr and str(path) in proc.stderr
+
+
+def test_non_utf8_input_is_a_diagnostic(corpus):
+    bad = corpus / "bad.cir"
+    bad.write_bytes(b"\xff\xfeapp")
+    _fails_cleanly(bad, "check", str(bad))
+
+
+def test_missing_bench_root_is_a_diagnostic(corpus):
+    root = corpus / "missing"
+    _fails_cleanly(root, "bench", str(root), "--config", str(corpus / "rules.conf"))
+
+
+def test_db_that_is_a_directory_is_an_error(corpus):
+    _fails_cleanly(corpus, "links", str(corpus / "a.cir"), "--db", str(corpus))
+
+
+def test_db_in_a_missing_directory_is_an_error(corpus):
+    db = corpus / "missing" / "links.db"
+    _fails_cleanly(db, "links", str(corpus / "a.cir"), "--db", str(db))
+
+
+def test_instrument_output_that_is_a_file_is_an_error(corpus):
+    dest = corpus / "rules.conf"
+    _fails_cleanly(dest, "instrument", str(corpus / "a.cir"), "-o", str(dest))
+
+
 def test_bench_command(corpus, capsys, tmp_path):
     root = tmp_path / "cases"
     case = root / "only"

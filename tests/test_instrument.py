@@ -2,12 +2,14 @@ from pathlib import Path
 
 import pytest
 
-from iccflow.icc import IccLink, match_links, resolve_corpus
+from iccflow.combine import combine
+from iccflow.icc import IccLink, links_by_app, match_links, resolve_corpus
 from iccflow.instrument import (
     INTENT_FIELD,
     RESULT_FIELD,
     InstrumentError,
     instrument_model,
+    local_links,
     synthesize_dummy_main,
 )
 from iccflow.ir import Branch, Call, ComponentKind, Goto, Return, StmtId
@@ -63,13 +65,6 @@ def test_single_link_is_replaced_in_place():
     # the replacement statement keeps the site's id; the tail is untouched
     assert redirect.sid == StmtId("A", "Main", "onCreate", "b0", 4)
     assert block.stmts[5].sid.index == 5
-
-
-def test_instrument_does_not_mutate_the_input():
-    app = _app(SINGLE)
-    before = serialize_app(app)
-    instrument_model(app, _resolve(app))
-    assert serialize_app(app) == before
 
 
 def test_target_gains_receiving_helpers():
@@ -247,6 +242,82 @@ def test_for_result_without_handler_skips_the_callback():
     called = [getattr(s, "method", "") for s in redirect.blocks[0].stmts]
     assert "onActivityResult" not in called
     assert "getIntentFAR" in called  # result is still collected
+
+
+SENDER = """
+app "S" {
+  component activity Main {
+    filter { action "M"; }
+    method onCreate(this) {
+      v = source "getDeviceId"
+      i = new_intent
+      set_action i "PING"
+      put_extra i "k" v
+      icc send_broadcast i
+    }
+  }
+}
+"""
+
+RECEIVER = """
+app "R" {
+  component receiver Rx {
+    filter { action "PING"; }
+  }
+}
+"""
+
+
+def _shape(apps):
+    """What instrumenting could change in place: text, rooted flags and
+    method counts of every component."""
+    return [
+        (
+            serialize_app(app),
+            [(c.rooted, len(c.lifecycle), len(c.callbacks), len(c.helpers)) for c in app.components],
+        )
+        for app in apps
+    ]
+
+
+def test_instrument_does_not_mutate_the_input():
+    """Copy on write: instrumenting leaves every input as it was, and the
+    same model instrumented again gives the same output."""
+    cases = {
+        "in-place": [SINGLE],
+        "fan-out": [FAN],
+        "for-result": [FOR_RESULT],
+        "combined": [SENDER, RECEIVER],
+    }
+    for name, texts in cases.items():
+        apps = [_app(t) for t in texts]
+        model = apps[0] if len(apps) == 1 else combine(apps)
+        links = _resolve(*apps)
+        before = _shape([*apps, model])
+        first = serialize_app(instrument_model(model, links))
+        assert first != serialize_app(model), name
+        assert _shape([*apps, model]) == before, name
+        assert serialize_app(instrument_model(model, links)) == first, name
+        assert _shape([*apps, model]) == before, name
+
+    # each case has the shape its name says
+    fan = _resolve(_app(FAN))
+    assert len({link.from_stmt for link in fan}) == 1 and len(fan) == 3
+    app = _app(FOR_RESULT)
+    (link,) = _resolve(app)
+    assert link.kind == "start_activity_for_result"
+    assert app.component("Main").find_method("onActivityResult") is not None
+    (link,) = _resolve(_app(SENDER), _app(RECEIVER))
+    assert link.cross_app
+
+
+def test_local_links_follow_origin_apps():
+    sender, receiver = _app(SENDER), _app(RECEIVER)
+    links = _resolve(sender, receiver)
+    by_app = links_by_app(links)
+    assert local_links(combine([sender, receiver]), by_app) == links
+    assert local_links(sender, by_app) == links
+    assert local_links(receiver, by_app) == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@ import pytest
 
 import oracle
 import progen
-from iccflow.icc import match_links, resolve_corpus
-from iccflow.parser import parse_app
-from iccflow.taint import analyze, parse_config, render_report
+from iccflow.combine import build_iac_graph, split_graph
+from iccflow.icc import links_by_app, match_links, resolve_corpus
+from iccflow.parser import load_corpus, parse_app, serialize_app
+from iccflow.taint import _analyze_set, analyze, parse_config, render_report
 
 CONF = parse_config(
     """
@@ -388,6 +389,27 @@ def test_reports_are_deterministic_across_runs_and_jobs():
     again = run(*fixed)
     assert render_report(base, "tsv") == render_report(again, "tsv")
     assert base.sets == again.sets
+
+
+def test_windows_do_not_share_state(bench_root, default_config):
+    """Every app of the bench sits in many 3-app windows; running the
+    windows in reverse order gives each the same result, and no window
+    changes an input app."""
+    apps, diags = load_corpus([str(bench_root)])
+    assert not diags
+    links = match_links(resolve_corpus(apps), apps).links
+    texts = [serialize_app(a) for a in apps]
+    graph = build_iac_graph([a.app_id for a in apps], links)
+    windows = [tuple(sorted(s)) for s in split_graph(graph, 3)]
+    assert any(sum(a.app_id in w for w in windows) > 1 for a in apps)
+    by_id = {a.app_id: a for a in apps}
+    by_app = links_by_app(links)
+
+    def results(order):
+        return {w: _analyze_set(w, by_id, by_app, default_config)[:2] for w in order}
+
+    assert results(windows) == results(reversed(windows))
+    assert [serialize_app(a) for a in apps] == texts
 
 
 def test_render_formats():
