@@ -23,6 +23,7 @@ from .icc import (
     app_text_hash,
     links_by_app,
     match_links,
+    resolve_corpus,
     resolve_intent_values,
 )
 from .instrument import InstrumentError, instrument_model, local_links
@@ -79,11 +80,12 @@ def _read_config(path: str) -> SourceSinkConfig:
 
 
 def _resolve_links(apps: list[AppModel], db_path: Optional[str]) -> LinkResult:
-    """Resolve intent values (reusing a database cache when the app text is
-    unchanged), match links corpus-wide, and refresh the database."""
-    db = LinkDb()
-    if db_path and os.path.exists(db_path):
-        db = LinkDb.load(db_path)
+    """Resolve intent values and match links corpus-wide. With a database,
+    reuse the values of each app whose source text is unchanged (by content
+    hash) and refresh the database afterwards."""
+    if not db_path:
+        return match_links(resolve_corpus(apps), apps)
+    db = LinkDb.load(db_path) if os.path.exists(db_path) else LinkDb()
     values_by_app = {}
     hashes: dict[str, str] = {}
     for app in apps:
@@ -96,11 +98,10 @@ def _resolve_links(apps: list[AppModel], db_path: Optional[str]) -> LinkResult:
             cached if cached is not None else resolve_intent_values(app)
         )
     result = match_links(values_by_app, apps)
-    if db_path:
-        by_app = links_by_app(result.links)
-        for app in apps:
-            db.put(app.app_id, hashes[app.app_id], values_by_app[app.app_id], by_app.get(app.app_id, []))
-        db.save(db_path)
+    by_app = links_by_app(result.links)
+    for app in apps:
+        db.put(app.app_id, hashes[app.app_id], values_by_app[app.app_id], by_app.get(app.app_id, []))
+    db.save(db_path)
     return result
 
 

@@ -3,8 +3,10 @@
 For every ICC call statement this module computes an abstract description of
 the intent flowing into it (explicit target, action, categories, data type,
 known extra keys), joined over all CFG paths that reach the call. The values
-are then matched against every component's intent filters, corpus-wide, to
-produce resolved links.
+are then matched against intent filters, corpus-wide, to produce resolved
+links. Matching draws its candidates from an index of components by kind and
+by the actions their filters declare; only a site whose action or target is
+Top scans every component of the wanted kind.
 
 Interprocedural precision is one call level deep (k=1): a method that
 receives an intent argument is re-analyzed under the join of all values its
@@ -20,6 +22,7 @@ redone fresh because links depend on the whole corpus.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Union
 
@@ -29,6 +32,7 @@ from .ir import (
     Branch,
     Call,
     Component,
+    ComponentKind,
     Const,
     Diagnostic,
     Fallthrough,
@@ -294,12 +298,14 @@ class _ValueSink:
 
 def _analyze_method(method: Method, init_env: dict, sink: _ValueSink) -> None:
     """Per-method fixpoint over block environments (join over paths)."""
-    blocks = {b.label: b for b in method.blocks}
+    position = {b.label: i for i, b in enumerate(method.blocks)}
     in_envs: dict[str, dict] = {method.entry.label: dict(init_env)}
-    work = [method.entry.label]
+    work = deque([method.entry.label])
+    queued = {method.entry.label}
     while work:
-        label = work.pop(0)
-        block = blocks[label]
+        label = work.popleft()
+        queued.discard(label)
+        block = method.blocks[position[label]]
         env = dict(in_envs[label])
         for stmt in block.stmts:
             _apply_stmt(stmt, env, sink)
@@ -310,20 +316,21 @@ def _analyze_method(method: Method, init_env: dict, sink: _ValueSink) -> None:
         elif isinstance(term, Branch):
             succs = [term.left, term.right]
         elif isinstance(term, Fallthrough):
-            idx = method.blocks.index(block)
-            if idx + 1 < len(method.blocks):
-                succs = [method.blocks[idx + 1].label]
+            idx = position[label] + 1
+            if idx < len(method.blocks):
+                succs = [method.blocks[idx].label]
         for succ in succs:
-            if succ not in blocks:
+            if succ not in position:
                 continue
             if succ in in_envs:
                 joined = _join_envs(in_envs[succ], env)
-                if joined != in_envs[succ]:
-                    in_envs[succ] = joined
-                    if succ not in work:
-                        work.append(succ)
+                if joined == in_envs[succ]:
+                    continue
+                in_envs[succ] = joined
             else:
                 in_envs[succ] = dict(env)
+            if succ not in queued:
+                queued.add(succ)
                 work.append(succ)
 
 
@@ -414,23 +421,31 @@ def match_links(
     values_by_app: dict[str, dict[StmtId, IntentValue]],
     corpus: Iterable[AppModel],
 ) -> LinkResult:
-    """Match every resolved intent value against every component's filters.
+    """Match every resolved intent value against the filters that can accept it.
 
     Explicit targets resolve directly by qualified name (filters are never
-    consulted); implicit intents match action/category/data-type against all
-    kind-compatible components corpus-wide. Provider calls resolve to nothing
-    by design. Missing explicit targets become diagnostics, not errors.
+    consulted). Implicit intents match action/category/data-type against
+    kind-compatible components corpus-wide. The candidates come from an index
+    of components by kind and by (kind, action declared in a filter): a site
+    with concrete actions tests only the components that declare one of them,
+    and only a site whose action or target is Top scans every component of
+    its kind. Provider calls resolve to nothing by design. Missing explicit
+    targets become diagnostics, not errors.
     """
-    components: list[Component] = []
     by_qualified: dict[str, Component] = {}
+    by_kind: dict[ComponentKind, list[Component]] = {}
+    by_action: dict[tuple[ComponentKind, str], list[Component]] = {}
     kinds: dict[StmtId, str] = {}
     for app in corpus:
         for _c, _m, _b, stmt in app.iter_stmts():
             if isinstance(stmt, IccCall):
                 kinds[stmt.sid] = stmt.kind
         for comp in app.components:
-            components.append(comp)
             by_qualified[comp.qualified_name] = comp
+            by_kind.setdefault(comp.kind, []).append(comp)
+            declared = set().union(*(flt.actions for flt in comp.filters))
+            for action in declared:
+                by_action.setdefault((comp.kind, action), []).append(comp)
 
     result = LinkResult()
     links: set[IccLink] = set()
@@ -459,23 +474,31 @@ def match_links(
                     IccLink(sid, kind, qname, True, target.origin_app != sid.app)
                 )
 
-            if value.may_be_implicit:
-                target_top = value.targets is TOP
-                for comp in components:
-                    if comp.kind is not want:
-                        continue
-                    if target_top:
-                        links.add(IccLink(sid, kind, comp.qualified_name, False, comp.origin_app != sid.app))
-                        continue
-                    best: Optional[bool] = None
-                    for flt in comp.filters:
-                        m = _filter_matches(value, flt)
-                        if m is not None:
-                            best = m if best is None else (best or m)
-                    if best is not None:
-                        links.add(
-                            IccLink(sid, kind, comp.qualified_name, best, comp.origin_app != sid.app)
-                        )
+            if not value.may_be_implicit:
+                continue
+            if value.targets is TOP:
+                for comp in by_kind.get(want, ()):
+                    links.add(IccLink(sid, kind, comp.qualified_name, False, comp.origin_app != sid.app))
+                continue
+            if value.actions is TOP:
+                candidates = by_kind.get(want, ())
+            else:
+                # A filter matches only if it declares one of the actions.
+                candidates = {
+                    id(comp): comp
+                    for action in value.actions
+                    for comp in by_action.get((want, action), ())
+                }.values()
+            for comp in candidates:
+                best: Optional[bool] = None
+                for flt in comp.filters:
+                    m = _filter_matches(value, flt)
+                    if m is not None:
+                        best = m if best is None else (best or m)
+                if best is not None:
+                    links.add(
+                        IccLink(sid, kind, comp.qualified_name, best, comp.origin_app != sid.app)
+                    )
 
     result.links = sorted(links)
     return result

@@ -75,7 +75,11 @@ def parse_config(text: str, path: Optional[str] = None) -> SourceSinkConfig:
 
 def load_config(path: str) -> SourceSinkConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise ValueError(f"cannot read {path}: not UTF-8 text") from None
+    return parse_config(text, path)
 
 
 # ---------------------------------------------------------------------------

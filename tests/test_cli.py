@@ -242,6 +242,14 @@ def test_instrument_output_that_is_a_file_is_an_error(corpus):
     _fails_cleanly(dest, "instrument", str(corpus / "a.cir"), "-o", str(dest))
 
 
+@pytest.mark.parametrize("command", ["analyze", "bench"])
+def test_non_utf8_config_is_an_error(corpus, command):
+    conf = corpus / "bad.conf"
+    conf.write_bytes(b"\xff\xfe")
+    target = corpus / "a.cir" if command == "analyze" else corpus
+    _fails_cleanly(conf, command, str(target), "--config", str(conf))
+
+
 def test_bench_command(corpus, capsys, tmp_path):
     root = tmp_path / "cases"
     case = root / "only"

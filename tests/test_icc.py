@@ -1,11 +1,17 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from iccflow.icc import (
     TOP,
     UNSET,
+    IccLink,
     IntentValue,
     LinkDb,
     LinkDbError,
+    LinkResult,
+    _filter_matches,
     app_text_hash,
     deserialize_value,
     join_sets,
@@ -13,8 +19,12 @@ from iccflow.icc import (
     resolve_corpus,
     serialize_value,
 )
-from iccflow.ir import StmtId
-from iccflow.parser import parse_app
+from iccflow.ir import ICC_KINDS, PROVIDER_ICC_KINDS, IccCall, StmtId, warning
+from iccflow.parser import load_corpus, parse_app
+
+# The benchmark's corpus generator builds the replicated corpora below.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def _app(text):
@@ -350,6 +360,224 @@ app "A" {
     )
     res = _links(a)
     assert res.links == []
+
+
+def test_long_fallthrough_chain_resolves_its_site():
+    # Every block but the one with the icc falls through to the next; the
+    # action is set halfway along, so the value has to follow the block order.
+    hops = "".join(
+        f"    f{i}:\n" + ('      set_action i "GO"\n' if i == 1500 else "")
+        for i in range(3000)
+    )
+    a = _app(
+        f"""
+app "A" {{
+  component activity Main {{
+    filter {{ action "MAIN"; }}
+    method onCreate(this) {{
+      i = new_intent
+{hops}    last:
+      icc start_activity i
+    }}
+  }}
+  component activity Target {{
+    filter {{ action "GO"; }}
+  }}
+}}
+"""
+    )
+    res = _links(a)
+    assert res.links == [
+        IccLink(StmtId("A", "Main", "onCreate", "last", 0), "start_activity", "A/Target", True, False)
+    ]
+    assert res.diagnostics == []
+
+
+# ---------------------------------------------------------------------------
+# The kind/action index against a nested-loop reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_match_links(values_by_app, corpus):
+    """The matcher the index replaced: every implicit site is tested against
+    the filters of every component of the corpus."""
+    components = []
+    by_qualified = {}
+    kinds = {}
+    for app in corpus:
+        for _c, _m, _b, stmt in app.iter_stmts():
+            if isinstance(stmt, IccCall):
+                kinds[stmt.sid] = stmt.kind
+        for comp in app.components:
+            components.append(comp)
+            by_qualified[comp.qualified_name] = comp
+
+    result = LinkResult()
+    links = set()
+    for app_id in sorted(values_by_app):
+        for sid in sorted(values_by_app[app_id]):
+            value = values_by_app[app_id][sid]
+            kind = kinds.get(sid)
+            if kind is None or kind in PROVIDER_ICC_KINDS:
+                continue
+            want = ICC_KINDS[kind]
+            for qname in value.explicit_targets:
+                if "/" not in qname:
+                    qname = f"{sid.app}/{qname}"
+                target = by_qualified.get(qname)
+                if target is None or target.kind is not want:
+                    reason = "no such component" if target is None else (
+                        f"kind {target.kind.value} does not accept {kind}"
+                    )
+                    result.diagnostics.append(
+                        warning(f"unresolved link: {sid} -> {qname!r} ({reason})")
+                    )
+                    continue
+                links.add(IccLink(sid, kind, qname, True, target.origin_app != sid.app))
+            if value.may_be_implicit:
+                for comp in components:
+                    if comp.kind is not want:
+                        continue
+                    cross = comp.origin_app != sid.app
+                    if value.targets is TOP:
+                        links.add(IccLink(sid, kind, comp.qualified_name, False, cross))
+                        continue
+                    best = None
+                    for flt in comp.filters:
+                        m = _filter_matches(value, flt)
+                        if m is not None:
+                            best = m if best is None else (best or m)
+                    if best is not None:
+                        links.add(IccLink(sid, kind, comp.qualified_name, best, cross))
+    result.links = sorted(links)
+    return result
+
+
+def _same_as_reference(apps):
+    values = resolve_corpus(apps)
+    got = match_links(values, apps)
+    want = _reference_match_links(values, apps)
+    assert got.links == want.links
+    assert got.diagnostics == want.diagnostics
+    return got
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "prefixed"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_index_matches_reference_on_replicated_corpora(monkeypatch, shared, seed):
+    # Twelve progen corpora (generator seeds 0..11) and two copies of the
+    # bench, each under renamed app ids; "prefixed" also renames every action
+    # and category per replica, "shared" keeps them, so links cross replicas.
+    monkeypatch.setitem(
+        workloads.SHAPES, "tiny", workloads.Shape(progen=12, bench=2, shared=shared, max_len=2)
+    )
+    corpus = workloads.generate("tiny", seed)
+    apps = [_app(text) for text in corpus.files().values()]
+    res = _same_as_reference(apps)
+    assert any(l.exact for l in res.links)
+
+    def replica(app_id):
+        return app_id.split("_", 1)[0]
+
+    crossing = [l for l in res.links if replica(l.from_stmt.app) != replica(l.to)]
+    assert bool(crossing) == shared
+    # startActivity4's Top action is only in the shared form.
+    assert any(not l.exact for l in res.links) == shared
+
+
+def test_index_matches_reference_on_the_bench(bench_root):
+    apps, diags = load_corpus([str(bench_root)])
+    assert diags == []
+    values = resolve_corpus(apps)
+    # startActivity4's action is Top: its site scans every activity.
+    assert any(v.actions is TOP for per_app in values.values() for v in per_app.values())
+    res = _same_as_reference(apps)
+    assert any(not l.exact for l in res.links)
+
+
+def test_index_matches_reference_on_hand_cases():
+    a = _app(
+        """
+app "H" {
+  component activity Main {
+    filter { action "MAIN"; }
+    method onCreate(this) {
+      n = new_intent
+      icc start_activity n
+      s = new_intent
+      set_action s "SHARED"
+      icc start_activity s
+      v = new_intent
+      set_action v "SHARED"
+      icc start_service v
+      e = new_intent
+      set_action e "ONE"
+      set_category e "C"
+      icc start_activity e
+      x = new_intent
+      set_target x "Nowhere"
+      icc start_activity x
+    }
+    callback onPick(this, choice) {
+      t = new_intent
+      set_target t choice
+      icc start_activity t
+      f = new_intent
+      branch one two
+    one:
+      set_action f "ONE"
+      goto send
+    two:
+      set_action f "TWO"
+      goto send
+    send:
+      set_category f choice
+      icc start_activity f
+    }
+  }
+  component activity Both {
+    filter { action "ONE"; category "C"; }
+    filter { action "TWO"; }
+  }
+  component activity Act {
+    filter { action "SHARED"; }
+  }
+  component service Svc {
+    filter { action "SHARED"; }
+  }
+}
+"""
+    )
+    b = _app(
+        """
+app "I" {
+  component activity Far {
+    filter { action "SHARED"; }
+    filter { action "ONE"; }
+  }
+}
+"""
+    )
+    res = _same_as_reference([a, b])
+    assert [d.message for d in res.diagnostics] == [
+        "unresolved link: H/Main/onCreate/b0/14 -> 'H/Nowhere' (no such component)"
+    ]
+    got = {(l.from_stmt.method, l.from_stmt.block, l.from_stmt.index, l.kind, l.to, l.exact) for l in res.links}
+    activities = ["H/Main", "H/Both", "H/Act", "I/Far"]
+    assert got == {
+        # no action: no candidates, no link
+        # one action declared by an activity and a service: each kind its own
+        ("onCreate", "b0", 4, "start_activity", "H/Act", True),
+        ("onCreate", "b0", 4, "start_activity", "I/Far", True),
+        ("onCreate", "b0", 7, "start_service", "H/Svc", True),
+        # the first filter of Both matches exactly, the second not at all
+        ("onCreate", "b0", 11, "start_activity", "H/Both", True),
+        # Top target: every activity, fuzzily
+        *{("onPick", "b0", 2, "start_activity", q, False) for q in activities},
+        # Top category: Both is listed under ONE and TWO, both filters match
+        ("onPick", "send", 1, "start_activity", "H/Both", False),
+        ("onPick", "send", 1, "start_activity", "I/Far", False),
+    }
 
 
 # ---------------------------------------------------------------------------
