@@ -5,7 +5,7 @@ direct calls, then run field- and context-sensitive taint propagation and
 classify each leak as Intra, ICC, or IAC.
 """
 
-from .icc import IccLink, IntentValue, LinkDb, match_links, resolve_intent_values
+from .icc import IccLink, IntentValue, match_links, resolve_intent_values
 from .instrument import instrument_model, synthesize_dummy_main
 from .ir import AppModel, Component, ComponentKind, StmtId
 from .parser import load_app, parse_app, serialize_app
@@ -20,7 +20,6 @@ __all__ = [
     "ComponentKind",
     "IccLink",
     "IntentValue",
-    "LinkDb",
     "SourceSinkConfig",
     "StmtId",
     "TaintedPath",

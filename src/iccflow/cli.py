@@ -11,21 +11,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from typing import Optional
 
 from .bench import render_bench, run_bench
 from .combine import build_iac_graph, split_graph
-from .icc import (
-    LinkDb,
-    LinkDbError,
-    LinkResult,
-    app_text_hash,
-    links_by_app,
-    match_links,
-    resolve_corpus,
-    resolve_intent_values,
-)
+from .icc import links_by_app, match_links, resolve_corpus
 from .instrument import InstrumentError, instrument_model, local_links
 from .ir import AppModel, Diagnostic, error
 from .parser import corpus_files, load_corpus, serialize_app
@@ -79,32 +69,6 @@ def _read_config(path: str) -> SourceSinkConfig:
         raise _Failed from None
 
 
-def _resolve_links(apps: list[AppModel], db_path: Optional[str]) -> LinkResult:
-    """Resolve intent values and match links corpus-wide. With a database,
-    reuse the values of each app whose source text is unchanged (by content
-    hash) and refresh the database afterwards."""
-    if not db_path:
-        return match_links(resolve_corpus(apps), apps)
-    db = LinkDb.load(db_path) if os.path.exists(db_path) else LinkDb()
-    values_by_app = {}
-    hashes: dict[str, str] = {}
-    for app in apps:
-        text_hash = ""
-        if app.source_path and os.path.exists(app.source_path):
-            text_hash = app_text_hash(Path(app.source_path).read_text(encoding="utf-8"))
-        hashes[app.app_id] = text_hash
-        cached = db.cached_values(app.app_id, text_hash) if text_hash else None
-        values_by_app[app.app_id] = (
-            cached if cached is not None else resolve_intent_values(app)
-        )
-    result = match_links(values_by_app, apps)
-    by_app = links_by_app(result.links)
-    for app in apps:
-        db.put(app.app_id, hashes[app.app_id], values_by_app[app.app_id], by_app.get(app.app_id, []))
-    db.save(db_path)
-    return result
-
-
 def _cmd_check(args) -> int:
     apps = _load_models(args.paths)
     components = sum(len(a.components) for a in apps)
@@ -114,7 +78,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_links(args) -> int:
     apps = _load_models(args.paths)
-    result = _resolve_links(apps, args.db)
+    result = match_links(resolve_corpus(apps), apps)
     for link in result.links:
         flavor = "exact" if link.exact else "fuzzy"
         scope = "cross-app" if link.cross_app else "in-app"
@@ -125,7 +89,7 @@ def _cmd_links(args) -> int:
 
 def _cmd_instrument(args) -> int:
     apps = _load_models(args.paths)
-    result = _resolve_links(apps, args.db)
+    result = match_links(resolve_corpus(apps), apps)
     _print_diags(result.diagnostics)
     status = 1 if result.diagnostics else 0
     by_app = links_by_app(result.links)
@@ -146,7 +110,7 @@ def _cmd_instrument(args) -> int:
 
 def _cmd_combine(args) -> int:
     apps = _load_models(args.paths)
-    result = _resolve_links(apps, args.db)
+    result = match_links(resolve_corpus(apps), apps)
     _print_diags(result.diagnostics)
     graph = build_iac_graph([a.app_id for a in apps], result.links)
     for group in split_graph(graph, args.max_len):
@@ -157,7 +121,7 @@ def _cmd_combine(args) -> int:
 def _cmd_analyze(args) -> int:
     apps = _load_models(args.paths)
     config = _read_config(args.config)
-    result = _resolve_links(apps, args.db)
+    result = match_links(resolve_corpus(apps), apps)
     _print_diags(result.diagnostics)
     report = analyze(apps, result.links, config, max_len=args.max_len)
     _print_diags(report.diagnostics)
@@ -192,15 +156,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, func, summary, db=True):
+    def add_command(name, func, summary):
         p = sub.add_parser(name, help=summary)
         p.add_argument("paths", nargs="+", help=".cir files or directories")
-        if db:
-            p.add_argument("--db", help="link database to reuse and refresh")
         p.set_defaults(func=func)
         return p
 
-    add_command("check", _cmd_check, "parse and validate models", db=False)
+    add_command("check", _cmd_check, "parse and validate models")
     add_command("links", _cmd_links, "resolve ICC links")
 
     p = add_command("instrument", _cmd_instrument, "rewrite ICC calls into direct calls")
@@ -227,7 +189,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LinkDbError, InstrumentError) as exc:
+    except InstrumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _Failed:

@@ -12,16 +12,10 @@ Interprocedural precision is one call level deep (k=1): a method that
 receives an intent argument is re-analyzed under the join of all values its
 callers pass; anything flowing further degrades to Top. Lifecycle methods and
 callbacks are framework entry points, so their parameters always include Top.
-
-Resolved values and links can be persisted to a line-oriented TSV database
-keyed by a content hash of each app's source, so re-running over an unchanged
-app skips its (comparatively expensive) value resolution; matching is always
-redone fresh because links depend on the whole corpus.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Union
@@ -52,7 +46,6 @@ from .ir import (
     SourceCall,
     Stmt,
     StmtId,
-    parse_stmt_id,
     warning,
 )
 
@@ -507,167 +500,3 @@ def match_links(
 def resolve_corpus(apps: list[AppModel]) -> dict[str, dict[StmtId, IntentValue]]:
     return {app.app_id: resolve_intent_values(app) for app in apps}
 
-
-# ---------------------------------------------------------------------------
-# Link database
-# ---------------------------------------------------------------------------
-#
-# Line-oriented TSV. Per app, sorted by app id:
-#
-#   #app <tab> app_id <tab> sha256-of-source
-#   #value <tab> stmt_id <tab> serialized-intent-value     (one per icc site)
-#   app_hash <tab> from_stmt <tab> kind <tab> to <tab> exact <tab> cross_app
-#
-# The comment lines are bookkeeping that lets a reload skip re-resolving
-# unchanged apps; plain loaders that only want links can ignore them.
-
-
-class LinkDbError(Exception):
-    def __init__(self, message: str, line: int = 0):
-        super().__init__(f"line {line}: {message}" if line else message)
-        self.line = line
-
-
-@dataclass
-class DbEntry:
-    app_id: str
-    text_hash: str
-    values: dict[StmtId, IntentValue] = field(default_factory=dict)
-    links: list[IccLink] = field(default_factory=list)
-
-
-def app_text_hash(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _ser_set(s: StrSet) -> str:
-    if s is TOP:
-        return "*"
-    return ",".join("-" if v is None else v for v in sorted(s, key=lambda x: (x is not None, x)))
-
-
-def _de_set(text: str) -> StrSet:
-    if text == "*":
-        return TOP
-    if text == "":
-        return frozenset()
-    return frozenset(None if part == "-" else part for part in text.split(","))
-
-
-def serialize_value(value: IntentValue) -> str:
-    return "|".join(
-        [
-            _ser_set(value.targets),
-            _ser_set(value.actions),
-            _ser_set(value.categories),
-            _ser_set(value.data_types),
-            _ser_set(value.extras_keys),
-            "1" if value.extras_complete else "0",
-        ]
-    )
-
-
-def deserialize_value(text: str) -> IntentValue:
-    parts = text.split("|")
-    if len(parts) != 6:
-        raise ValueError(f"malformed intent value: {text!r}")
-    extras = _de_set(parts[4])
-    if extras is TOP or None in extras:
-        raise ValueError(f"malformed extras keys: {text!r}")
-    return IntentValue(
-        _de_set(parts[0]),
-        _de_set(parts[1]),
-        _de_set(parts[2]),
-        _de_set(parts[3]),
-        extras,
-        parts[5] == "1",
-    )
-
-
-class LinkDb:
-    def __init__(self) -> None:
-        self.entries: dict[str, DbEntry] = {}
-
-    @staticmethod
-    def load(path: str) -> "LinkDb":
-        db = LinkDb()
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise LinkDbError(f"cannot read {path}: {exc.strerror}") from None
-        except UnicodeDecodeError:
-            raise LinkDbError(f"cannot read {path}: not UTF-8 text") from None
-        current: Optional[DbEntry] = None
-        for number, raw in enumerate(text.splitlines(), start=1):
-            if not raw.strip():
-                continue
-            fields = raw.split("\t")
-            try:
-                if fields[0] == "#app":
-                    if len(fields) != 3:
-                        raise ValueError("bad #app header")
-                    current = DbEntry(fields[1], fields[2])
-                    db.entries[current.app_id] = current
-                elif fields[0] == "#value":
-                    if current is None or len(fields) != 3:
-                        raise ValueError("stray #value line")
-                    current.values[parse_stmt_id(fields[1])] = deserialize_value(fields[2])
-                elif fields[0].startswith("#"):
-                    continue
-                else:
-                    if current is None or len(fields) != 6:
-                        raise ValueError("bad link line")
-                    if fields[0] != current.text_hash:
-                        raise ValueError("link line hash does not match its #app header")
-                    link = IccLink(
-                        parse_stmt_id(fields[1]),
-                        fields[2],
-                        fields[3],
-                        fields[4] == "1",
-                        fields[5] == "1",
-                    )
-                    if link.kind not in ICC_KINDS:
-                        raise ValueError(f"unknown icc kind {link.kind!r}")
-                    current.links.append(link)
-            except ValueError as exc:
-                raise LinkDbError(str(exc), number) from None
-        return db
-
-    def save(self, path: str) -> None:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(self.dumps())
-        except OSError as exc:
-            raise LinkDbError(f"cannot write {path}: {exc.strerror}") from None
-
-    def dumps(self) -> str:
-        out: list[str] = []
-        for app_id in sorted(self.entries):
-            entry = self.entries[app_id]
-            out.append(f"#app\t{entry.app_id}\t{entry.text_hash}")
-            for sid in sorted(entry.values):
-                out.append(f"#value\t{sid}\t{serialize_value(entry.values[sid])}")
-            for link in sorted(entry.links):
-                out.append(
-                    "\t".join(
-                        [
-                            entry.text_hash,
-                            str(link.from_stmt),
-                            link.kind,
-                            link.to,
-                            "1" if link.exact else "0",
-                            "1" if link.cross_app else "0",
-                        ]
-                    )
-                )
-        return "\n".join(out) + ("\n" if out else "")
-
-    def put(self, app_id: str, text_hash: str, values: dict[StmtId, IntentValue], links: list[IccLink]) -> None:
-        self.entries[app_id] = DbEntry(app_id, text_hash, dict(values), sorted(links))
-
-    def cached_values(self, app_id: str, text_hash: str) -> Optional[dict[StmtId, IntentValue]]:
-        entry = self.entries.get(app_id)
-        if entry is not None and entry.text_hash == text_hash:
-            return dict(entry.values)
-        return None

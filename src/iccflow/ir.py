@@ -94,17 +94,6 @@ class StmtId(NamedTuple):
         return (self.app, self.cls, self.method)
 
 
-def parse_stmt_id(text: str) -> StmtId:
-    parts = text.split("/")
-    if len(parts) != 5:
-        raise ValueError(f"malformed statement id: {text!r}")
-    try:
-        index = int(parts[4])
-    except ValueError:
-        raise ValueError(f"malformed statement id index: {text!r}") from None
-    return StmtId(parts[0], parts[1], parts[2], parts[3], index)
-
-
 @dataclass(frozen=True)
 class Operand:
     """A statement operand that is either a variable name or a string literal."""

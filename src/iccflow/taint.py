@@ -138,8 +138,7 @@ def _effective_term(method: Method, idx: int):
 class _MethodShape:
     """Per-method node layout with empty-block elision."""
 
-    def __init__(self, cfg: Cfg, comp: Component, method: Method):
-        self.cfg = cfg
+    def __init__(self, comp: Component, method: Method):
         self.comp = comp
         self.method = method
         self.mk: MethodKey = (comp.origin_app, comp.name, method.name)
@@ -218,6 +217,9 @@ def _resolve_callee(
         target = by_qualified.get(stmt.cls)
     else:
         candidates = by_name.get(stmt.cls, [])
+        # an unqualified class means the caller's own app first
+        own = [c for c in candidates if c.origin_app == comp.origin_app]
+        candidates = own or candidates
         if len(candidates) > 1:
             cfg.diagnostics.append(
                 warning(f"ambiguous callee class {stmt.cls!r} at {stmt.sid}")
@@ -292,7 +294,7 @@ def build_cfg(model: AppModel) -> Cfg:
     shapes: dict[MethodKey, _MethodShape] = {}
     for comp in model.components:
         for method in comp.methods():
-            shape = _MethodShape(cfg, comp, method)
+            shape = _MethodShape(comp, method)
             shapes[shape.mk] = shape
 
     # intra-method edges first, then call wiring
@@ -305,8 +307,6 @@ def build_cfg(model: AppModel) -> Cfg:
         if method.blocks:
             for n in shape.first_real(method.blocks[0].label):
                 cfg.add_edge(entry, n, "normal")
-        else:
-            pass  # parser never produces this; entry simply has no successors
         for i, block in enumerate(method.blocks):
             term = _effective_term(method, i)
             if isinstance(term, Return):
@@ -333,8 +333,6 @@ def build_cfg(model: AppModel) -> Cfg:
                 else:
                     for m in nxt:
                         cfg.add_edge(n, m, "normal")
-            if not nodes and isinstance(term, Return):
-                pass  # retval edge already added; predecessors route via first_real
 
     for comp in model.components:
         rooted = comp.rooted if comp.rooted is not None else bool(comp.filters)

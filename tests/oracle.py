@@ -399,6 +399,8 @@ class _Run:
             target = self.w.by_qualified.get(stmt.cls)
         else:
             candidates = self.w.by_name.get(stmt.cls, [])
+            own = [c for c in candidates if c.origin_app == comp.origin_app]
+            candidates = own or candidates
             target = candidates[0] if len(candidates) == 1 else None
         if target is None:
             return None

@@ -65,6 +65,11 @@ def _run(capsys, *argv):
 # ---------------------------------------------------------------------------
 
 
+def test_every_public_name_is_exported():
+    missing = [name for name in iccflow.__all__ if not hasattr(iccflow, name)]
+    assert missing == []
+
+
 def test_check_ok(corpus, capsys):
     code, out, err = _run(capsys, "check", str(corpus / "a.cir"))
     assert code == 0
@@ -94,17 +99,28 @@ def test_usage_error_is_exit_2(corpus):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["combine", "analyze"])
-@pytest.mark.parametrize("value", ["0", "-1", "two"])
-def test_bad_max_len_is_a_usage_error(corpus, command, value):
-    argv = [sys.executable, "-m", "iccflow.cli", command, str(corpus / "a.cir"), "--max-len", value]
+def _usage_error(corpus, command, *args) -> str:
+    """Run the CLI in a fresh interpreter: exit 2, nothing on stdout, no
+    traceback. Returns stderr."""
+    argv = [sys.executable, "-m", "iccflow.cli", command, str(corpus / "a.cir"), *args]
     if command == "analyze":
         argv += ["--config", str(corpus / "rules.conf")]
     proc = subprocess.run(argv, capture_output=True, text=True, env=_subprocess_env())
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
-    assert "argument --max-len: " in proc.stderr
     assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+@pytest.mark.parametrize("command", ["combine", "analyze"])
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_bad_max_len_is_a_usage_error(corpus, command, value):
+    assert "argument --max-len: " in _usage_error(corpus, command, "--max-len", value)
+
+
+@pytest.mark.parametrize("command", ["links", "instrument", "combine", "analyze"])
+def test_removed_db_flag_is_a_usage_error(corpus, command):
+    assert "unrecognized arguments: --db" in _usage_error(corpus, command, "--db", "x")
 
 
 def test_links_lists_resolved_edges(corpus, capsys):
@@ -172,37 +188,6 @@ def test_analyze_missing_config(corpus, capsys):
     assert "error" in err
 
 
-def test_db_round_trip(corpus, capsys):
-    db = corpus / "links.db"
-    args = ["links", str(corpus / "a.cir"), "--db", str(db)]
-    _, first, _ = _run(capsys, *args)
-    assert db.exists()
-    stamp = db.read_bytes()
-    _, second, _ = _run(capsys, *args)  # warm cache: same links, same db
-    assert first == second
-    assert db.read_bytes() == stamp
-
-
-def test_corrupt_db_is_an_error_not_a_crash(corpus, capsys):
-    db = corpus / "links.db"
-    db.write_text("not a database\n", encoding="utf-8")
-    code, _, err = _run(capsys, "links", str(corpus / "a.cir"), "--db", str(db))
-    assert code == 1
-    assert "error" in err
-
-
-def test_stale_db_entries_are_recomputed(corpus, capsys):
-    db = corpus / "links.db"
-    args = [str(corpus / "a.cir"), "--db", str(db)]
-    _, before, _ = _run(capsys, "links", *args)
-    # edit the app: the cached values must be ignored, and the new link found
-    (corpus / "a.cir").write_text(
-        LEAKY.replace('set_target i "Out"', 'set_target i "Main"'), encoding="utf-8"
-    )
-    _, after, _ = _run(capsys, "links", *args)
-    assert "A/Out" in before and "A/Main\t" in after
-
-
 def _fails_cleanly(path, *args):
     """Run the CLI in a fresh interpreter: exit 1, an error naming the path,
     no traceback."""
@@ -226,15 +211,6 @@ def test_non_utf8_input_is_a_diagnostic(corpus):
 def test_missing_bench_root_is_a_diagnostic(corpus):
     root = corpus / "missing"
     _fails_cleanly(root, "bench", str(root), "--config", str(corpus / "rules.conf"))
-
-
-def test_db_that_is_a_directory_is_an_error(corpus):
-    _fails_cleanly(corpus, "links", str(corpus / "a.cir"), "--db", str(corpus))
-
-
-def test_db_in_a_missing_directory_is_an_error(corpus):
-    db = corpus / "missing" / "links.db"
-    _fails_cleanly(db, "links", str(corpus / "a.cir"), "--db", str(db))
 
 
 def test_instrument_output_that_is_a_file_is_an_error(corpus):

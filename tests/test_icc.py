@@ -8,16 +8,11 @@ from iccflow.icc import (
     UNSET,
     IccLink,
     IntentValue,
-    LinkDb,
-    LinkDbError,
     LinkResult,
     _filter_matches,
-    app_text_hash,
-    deserialize_value,
     join_sets,
     match_links,
     resolve_corpus,
-    serialize_value,
 )
 from iccflow.ir import ICC_KINDS, PROVIDER_ICC_KINDS, IccCall, StmtId, warning
 from iccflow.parser import load_corpus, parse_app
@@ -578,77 +573,3 @@ app "I" {
         ("onPick", "send", 1, "start_activity", "H/Both", False),
         ("onPick", "send", 1, "start_activity", "I/Far", False),
     }
-
-
-# ---------------------------------------------------------------------------
-# Link database
-# ---------------------------------------------------------------------------
-
-
-def _sample_values():
-    sid = StmtId("A", "Main", "onCreate", "b0", 4)
-    return {
-        sid: IntentValue(
-            targets=frozenset({"Second", UNSET}),
-            actions=frozenset({"VIEW"}),
-            categories=frozenset(),
-            data_types=frozenset({UNSET, "text/plain"}),
-            extras_keys=frozenset({"k"}),
-            extras_complete=False,
-        ),
-        StmtId("A", "Main", "onCreate", "b0", 9): IntentValue.top(),
-    }
-
-
-def test_value_serialization_round_trips():
-    for value in _sample_values().values():
-        assert deserialize_value(serialize_value(value)) == value
-
-
-def test_db_round_trip(tmp_path):
-    db_path = tmp_path / "links.db"
-    db = LinkDb()
-    text = 'app "A" {\n}\n'
-    values = _sample_values()
-    db.put("A", app_text_hash(text), values, [])
-    db.save(str(db_path))
-
-    again = LinkDb.load(str(db_path))
-    assert again.cached_values("A", app_text_hash(text)) == values
-    assert again.cached_values("A", app_text_hash(text + " ")) is None
-    assert again.cached_values("B", app_text_hash(text)) is None
-
-
-def test_db_corrupt_line_raises_with_position(tmp_path):
-    db_path = tmp_path / "links.db"
-    db = LinkDb()
-    db.put("A", app_text_hash("x"), _sample_values(), [])
-    db.save(str(db_path))
-    lines = db_path.read_text().splitlines()
-    lines[1] = "value A garbage-without-enough-fields"
-    db_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(LinkDbError) as exc:
-        LinkDb.load(str(db_path))
-    assert "2" in str(exc.value)
-
-
-def test_db_link_line_must_match_its_header_hash(tmp_path):
-    sid = StmtId("A", "Main", "onCreate", "b0", 0)
-    db_path = tmp_path / "links.db"
-    db_path.write_text(
-        "#app\tA\tdeadbeef\n"
-        + "\t".join(["feedface", str(sid), "start_activity", "A/Second", "1", "0"])
-        + "\n"
-    )
-    with pytest.raises(LinkDbError) as exc:
-        LinkDb.load(str(db_path))
-    assert "hash" in str(exc.value)
-
-
-def test_db_dumps_is_stable_and_sorted():
-    db = LinkDb()
-    db.put("B", "h" * 8, _sample_values(), [])
-    db.put("A", "g" * 8, _sample_values(), [])
-    once = db.dumps()
-    assert once == db.dumps()
-    assert once.index("#app\tA") < once.index("#app\tB")

@@ -6,7 +6,6 @@ from iccflow.ir import (
     RESERVED_METHODS,
     ComponentKind,
     StmtId,
-    parse_stmt_id,
     validate,
 )
 from iccflow.parser import parse_app
@@ -41,7 +40,6 @@ def _app(text):
 def test_stmt_id_round_trip():
     sid = StmtId("A", "Main", "onCreate", "b0", 2)
     assert str(sid) == "A/Main/onCreate/b0/2"
-    assert parse_stmt_id(str(sid)) == sid
     assert sid.method_key == ("A", "Main", "onCreate")
 
 

@@ -253,6 +253,64 @@ def test_unknown_callee_result_is_clean():
     assert run(text).paths == []
 
 
+HELPER_CLASS = """
+  class Util0 {
+    method pass(x) {
+      return x
+    }
+  }
+"""
+
+VIEWER = """
+app "ViewerApp" {
+  component activity Viewer {
+    filter { action "com.x.VIEW"; }
+    method onCreate(this) {
+      g = get_intent
+      v = get_extra g "id"
+      sink "writeLog" v
+    }
+  }
+%s}
+"""
+
+SENDER = """
+app "%s" {
+  component activity Main {
+    filter { action "MAIN"; }
+    method onCreate(this) {
+      id = source "getDeviceId"
+      v = call Util0.pass(id)
+      i = new_intent
+      set_action i "com.x.VIEW"
+      put_extra i "id" v
+      icc start_activity i
+    }
+  }
+%s}
+"""
+
+
+def test_unqualified_helper_class_resolves_in_the_callers_app():
+    apps = _apps(SENDER % ("SenderApp", HELPER_CLASS), VIEWER % HELPER_CLASS)
+    links = match_links(resolve_corpus(apps), apps).links
+    rep = analyze(apps, links, CONF)
+    assert [(p.klass, p.apps) for p in rep.paths] == [("IAC", ("SenderApp", "ViewerApp"))]
+    assert not any("ambiguous" in d.message for d in rep.diagnostics)
+    assert {(p.source, p.sink) for p in rep.paths} == oracle.oracle_pairs(apps, CONF)
+
+
+def test_helper_class_declared_only_by_two_other_apps_is_ambiguous():
+    other = SENDER.replace("MAIN", "OTHER") % ("OtherApp", HELPER_CLASS)
+    apps = _apps(SENDER % ("SenderApp", ""), VIEWER % HELPER_CLASS, other)
+    links = match_links(resolve_corpus(apps), apps).links
+    rep = analyze(apps, links, CONF, max_len=3)
+    assert any(
+        "ambiguous callee class 'Util0' at SenderApp/" in d.message for d in rep.diagnostics
+    )
+    assert not any(p.source.app == "SenderApp" for p in rep.paths)
+
+
 # ---------------------------------------------------------------------------
 # path classification
 # ---------------------------------------------------------------------------
