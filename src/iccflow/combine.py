@@ -1,11 +1,15 @@
 """Merging apps into one analyzable model and scoping work via an IAC graph.
 
 Cross-app links only matter when both endpoints are analyzed together, so the
-corpus is first reduced to an undirected graph whose nodes are apps and whose
-edges are induced by cross-app links. Each connected piece is an analysis
-unit; pieces larger than ``max_len`` apps are covered by all their connected
-induced subsets of exactly ``max_len`` nodes, which guarantees every simple
-path of at most ``max_len`` apps lies inside at least one emitted set.
+corpus is first reduced to a graph whose nodes are apps and whose edges are
+induced by cross-app links. Each connected piece is an analysis unit; a piece
+larger than ``max_len`` apps is covered by the maximal app sets of at most
+``max_len`` apps that one directed walk covers (DidFail composes flows along
+the same directed intent graph). A walk goes from a link's call-site app to
+its target app, and back for ``start_activity_for_result``, whose result
+returns to the caller; these are the ways an intent carries a leak chain
+between apps, so every such chain through at most ``max_len`` apps lies
+inside an emitted set.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ def _app_of(qualified_name: str) -> str:
 
 @dataclass
 class IacGraph:
-    """Undirected app graph; an edge means at least one cross-app link."""
+    """App graph; an edge means at least one cross-app link, each directed."""
 
     nodes: list[str] = field(default_factory=list)
     # key is the sorted app pair
@@ -84,49 +88,54 @@ def _components_of(nodes: list[str], adj: dict[str, set[str]]) -> list[list[str]
     return out
 
 
-def _connected_ksubsets(nodes: list[str], adj: dict[str, set[str]], k: int) -> list[frozenset[str]]:
-    """All connected induced subsets of exactly k nodes."""
-    found: set[frozenset[str]] = set()
-    visited: set[frozenset[str]] = set()
-
-    def grow(sub: frozenset[str]) -> None:
-        if len(sub) == k:
-            found.add(sub)
-            return
-        boundary: set[str] = set()
-        for v in sub:
-            boundary |= adj[v]
-        for w in sorted(boundary - sub):
-            nxt = sub | {w}
-            if nxt not in visited:
-                visited.add(nxt)
-                grow(nxt)
-
-    for v in nodes:
-        seed = frozenset([v])
-        visited.add(seed)
-        grow(seed)
-    return sorted(found, key=sorted)
+def _walk_sets(group: list[str], succ: dict[str, set[str]], k: int) -> set[frozenset[str]]:
+    """The maximal app sets of at most k apps that one directed walk covers."""
+    states = {(v, frozenset([v])) for v in group}
+    stack = list(states)
+    covered: set[frozenset[str]] = set()
+    while stack:
+        app, apps = stack.pop()
+        covered.add(apps)
+        for nxt in succ[app]:
+            state = (nxt, apps | {nxt})
+            if len(state[1]) <= k and state not in states:
+                states.add(state)
+                stack.append(state)
+    # every proper subset of a covered set, each generated once, level by level
+    inside: set[frozenset[str]] = set()
+    level = covered
+    while level:
+        level = {s - {v} for s in level for v in s} - inside
+        inside |= level
+    return covered - inside
 
 
 def split_graph(graph: IacGraph, max_len: int = 2) -> list[frozenset[str]]:
     """Split into connected app groups, bounding each emitted set's size.
 
     Groups of at most ``max_len`` apps are emitted whole. A larger group is
-    covered by all its connected induced subsets of exactly ``max_len``
-    nodes; any leak chain through at most ``max_len`` apps is then fully
-    contained in at least one emitted set.
+    covered by the maximal sets of at most ``max_len`` apps that one walk
+    along link direction covers: caller app to target app, and target back
+    to caller for ``start_activity_for_result``. Any leak chain through at
+    most ``max_len`` apps is then fully contained in at least one emitted
+    set. At ``max_len`` 2 or less the sets are the group's edges or apps.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     adj: dict[str, set[str]] = {n: set() for n in graph.nodes}
-    for a, b in graph.edges:
+    succ: dict[str, set[str]] = {n: set() for n in graph.nodes}
+    for (a, b), links in graph.edges.items():
         adj[a].add(b)
         adj[b].add(a)
+        for link in links:
+            caller, target = link.from_stmt.app, _app_of(link.to)
+            succ[caller].add(target)
+            if link.kind == "start_activity_for_result":
+                succ[target].add(caller)
     out: list[frozenset[str]] = []
     for group in _components_of(graph.nodes, adj):
         if len(group) <= max_len:
             out.append(frozenset(group))
         else:
-            out.extend(_connected_ksubsets(group, adj, max_len))
+            out.extend(_walk_sets(group, succ, max_len))
     return sorted(out, key=sorted)

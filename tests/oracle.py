@@ -11,10 +11,13 @@ This is not a general interpreter. It assumes the restrictions ``progen``
 guarantees (loop-free bodies, string-valued extras and fields, no aliasing
 of intents through assignment, acyclic dispatch) and unrolls the callback
 loop twice, which is exhaustive for write-then-read field protocols.
+
+``walk_covered_sets`` is the brute-force reference for the app-window plan.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -463,3 +466,44 @@ def oracle_pairs(
 
         explore(drive, max_runs=max_runs)
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# Window plan
+# ---------------------------------------------------------------------------
+
+
+def walk_covered_sets(nodes: list[str], links: list, k: int) -> set[frozenset[str]]:
+    """Every set of at most ``k`` apps that one walk along cross-app links
+    covers, by brute force over orders of each set.
+
+    A walk steps from a link's call-site app to its target app, and back for
+    ``start_activity_for_result``. A set is covered when some order of its
+    apps lets each app reach the next without leaving the set.
+    """
+    steps: dict[str, set[str]] = {n: set() for n in nodes}
+    for link in links:
+        a, b = link.from_stmt.app, link.to.rsplit("/", 1)[0]
+        steps[a].add(b)
+        if link.kind == "start_activity_for_result":
+            steps[b].add(a)
+
+    def reaches(inside: set[str], a: str, b: str) -> bool:
+        seen, todo = {a}, [a]
+        while todo:
+            for m in steps[todo.pop()] & inside:
+                if m not in seen:
+                    seen.add(m)
+                    todo.append(m)
+        return b in seen
+
+    out: set[frozenset[str]] = set()
+    for size in range(1, k + 1):
+        for combo in itertools.combinations(sorted(nodes), size):
+            inside = set(combo)
+            if any(
+                all(reaches(inside, a, b) for a, b in zip(order, order[1:]))
+                for order in itertools.permutations(combo)
+            ):
+                out.add(frozenset(combo))
+    return out

@@ -214,21 +214,6 @@ def _load_case(case):
     return apps
 
 
-def _simple_paths_upto(adj, k):
-    out = set()
-
-    def walk(path):
-        out.add(frozenset(path))
-        if len(path) < k:
-            for n in sorted(adj[path[-1]]):
-                if n not in path:
-                    walk(path + [n])
-
-    for start in adj:
-        walk([start])
-    return out
-
-
 def test_criterion_6_combiner_equivalence(bench_root, default_config):
     two_app = []
     for case in _case_dirs(bench_root):
@@ -245,7 +230,8 @@ def test_criterion_6_combiner_equivalence(bench_root, default_config):
         if split_run != merged_run:
             unequal.append(name)
 
-    # window coverage versus a brute-force simple-path enumerator
+    # window coverage versus a brute-force walk enumerator: every app set
+    # that one walk along link direction covers lies inside an emitted set
     rng = random.Random(0xC0FFEE)
     uncovered = 0
     for _ in range(200):
@@ -255,24 +241,23 @@ def test_criterion_6_combiner_equivalence(bench_root, default_config):
         for i, a in enumerate(nodes):
             for b in nodes[i + 1 :]:
                 if rng.random() < rng.choice((0.15, 0.4)):
+                    src, dst = (a, b) if rng.random() < 0.5 else (b, a)
+                    kind = rng.choice(("start_activity", "start_activity_for_result"))
                     g.edges.setdefault((a, b), []).append(
-                        IccLink(StmtId(a, "M", "m", "b0", 0), "start_activity", f"{b}/T", True, True)
+                        IccLink(StmtId(src, "M", "m", "b0", 0), kind, f"{dst}/T", True, True)
                     )
         max_len = rng.randint(1, 4)
         windows = split_graph(g, max_len=max_len)
-        adj = {v: set() for v in nodes}
-        for a, b in g.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        for path_nodes in _simple_paths_upto(adj, max_len):
-            if not any(path_nodes <= w for w in windows):
+        links = [link for group in g.edges.values() for link in group]
+        for walk in oracle.walk_covered_sets(nodes, links, max_len):
+            if not any(walk <= w for w in windows):
                 uncovered += 1
     ok = not unequal and uncovered == 0
     check(
         6,
         ok,
         f"{len(two_app)} two-app cases combine-equivalent; "
-        f"200 random graphs fully path-covered"
+        f"200 random graphs fully walk-covered"
         + (f" (unequal: {unequal})" if unequal else ""),
     )
 

@@ -450,8 +450,8 @@ def test_reports_are_deterministic_across_runs_and_jobs():
 
 
 def test_windows_do_not_share_state(bench_root, default_config):
-    """Every app of the bench sits in many 3-app windows; running the
-    windows in reverse order gives each the same result, and no window
+    """startActivity4's app sits in every 3-app window of the bench; running
+    the windows in reverse order gives each the same result, and no window
     changes an input app."""
     apps, diags = load_corpus([str(bench_root)])
     assert not diags
