@@ -349,8 +349,9 @@ def instrument_model(model: AppModel, links: list[IccLink]) -> AppModel:
     linked site are copied; the rest is shared with the input, which is
     never modified. The model realizes the links whose both endpoints live
     inside it; links that point outside (a split window dropped the partner
-    app) leave the call site untouched. A model showing any synthetic marker
-    or reserved name is rejected rather than instrumented twice.
+    app) leave the call site untouched. The output's ``sites`` maps each
+    redirect call to the ICC site it replaced. A model showing any synthetic
+    marker or reserved name is rejected rather than instrumented twice.
     """
     if _already_instrumented(model):
         raise InstrumentError(
@@ -372,7 +373,7 @@ def instrument_model(model: AppModel, links: list[IccLink]) -> AppModel:
         groups.setdefault(link.from_stmt, []).append(link)
 
     touched = {sid.method_key for sid in groups}
-    out = replace(model, components=[_own(c, touched) for c in model.components])
+    out = replace(model, components=[_own(c, touched) for c in model.components], sites={})
     by_qualified = {c.qualified_name: c for c in out.components}
 
     helper: Optional[Component] = None
@@ -419,6 +420,7 @@ def instrument_model(model: AppModel, links: list[IccLink]) -> AppModel:
         site = site_counters.get(key, 0)
         site_counters[key] = site + 1
         _replace_site(method, block, index, calls, site)
+        out.sites.update((call.sid, sid) for call in calls)
 
     for comp in out.components:
         if comp.kind is ComponentKind.CLASS:

@@ -15,11 +15,11 @@ reconstructed witness path of CFG-connected statements.
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
-from .combine import build_iac_graph, combine, split_graph
+from .combine import _app_of, build_iac_graph, combine, split_graph
 from .icc import IccLink, links_by_app
 from .instrument import InstrumentError, instrument_model, local_links
 from .ir import (
@@ -35,6 +35,7 @@ from .ir import (
     Goto,
     StmtId,
     GetExtra,
+    IccCall,
     GetIntent,
     Method,
     NewIntent,
@@ -93,7 +94,9 @@ def load_config(path: str) -> SourceSinkConfig:
 #   ("ret", sid)            return site of a call statement
 #   ("retval", (mk, label)) a block's return terminator (binds @ret)
 #
-# Edge kinds: normal, call_to_start, call_to_return, exit_to_return.
+# Every edge is intraprocedural ("normal"). A call statement has none:
+# ``propagate`` steps from it into the callee named in ``Cfg.calls`` and to
+# its return site, whose edges lead on.
 
 Node = tuple
 MethodKey = tuple[str, str, str]
@@ -119,10 +122,8 @@ class Cfg:
     retvar: dict[tuple[MethodKey, str], Optional[str]] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
-    def add_edge(self, a: Node, b: Node, kind: str) -> None:
-        lst = self.succ.setdefault(a, [])
-        if (b, kind) not in lst:
-            lst.append((b, kind))
+    def add_edge(self, a: Node, b: Node) -> None:
+        self.succ.setdefault(a, []).append((b, "normal"))
 
 
 def _effective_term(method: Method, idx: int):
@@ -216,16 +217,13 @@ def _resolve_callee(
     elif "/" in stmt.cls:
         target = by_qualified.get(stmt.cls)
     else:
-        candidates = by_name.get(stmt.cls, [])
-        # an unqualified class means the caller's own app first
-        own = [c for c in candidates if c.origin_app == comp.origin_app]
-        candidates = own or candidates
-        if len(candidates) > 1:
-            cfg.diagnostics.append(
-                warning(f"ambiguous callee class {stmt.cls!r} at {stmt.sid}")
-            )
-            return None
-        target = candidates[0] if candidates else None
+        # an unqualified class lies in the caller's own app, or is the
+        # instrumenter's helper
+        target = next(
+            (c for c in by_name.get(stmt.cls, ())
+             if c.origin_app == comp.origin_app or c.synthetic),
+            None,
+        )
     if target is None:
         cfg.diagnostics.append(
             warning(f"call to unknown class {stmt.cls!r} at {stmt.sid}")
@@ -277,7 +275,7 @@ def _call_info_for(
 
 
 def build_cfg(model: AppModel) -> Cfg:
-    """Link per-method flow graphs through call/return edges.
+    """Per-method flow graphs plus the call wiring of each call statement.
 
     Roots are the dummyMain entries of startable components (components whose
     ``rooted`` flag is set, or that declare a filter when the flag is unset)
@@ -306,13 +304,13 @@ def build_cfg(model: AppModel) -> Cfg:
         cfg.succ.setdefault(exit_, [])
         if method.blocks:
             for n in shape.first_real(method.blocks[0].label):
-                cfg.add_edge(entry, n, "normal")
+                cfg.add_edge(entry, n)
         for i, block in enumerate(method.blocks):
             term = _effective_term(method, i)
             if isinstance(term, Return):
                 rv: Node = ("retval", (mk, block.label))
                 cfg.retvar[(mk, block.label)] = term.var
-                cfg.add_edge(rv, exit_, "normal")
+                cfg.add_edge(rv, exit_)
             nodes = [("stmt", s.sid) for s in block.stmts]
             for s in block.stmts:
                 cfg.stmts[s.sid] = s
@@ -323,16 +321,12 @@ def build_cfg(model: AppModel) -> Cfg:
                 nxt = nodes[j + 1 : j + 2] or targets
                 if info is not None:
                     cfg.calls[stmt.sid] = info
-                    callee_mk = info.callee
                     ret: Node = ("ret", stmt.sid)
-                    cfg.add_edge(n, ("entry", callee_mk), "call_to_start")
-                    cfg.add_edge(n, ret, "call_to_return")
-                    cfg.add_edge(("exit", callee_mk), ret, "exit_to_return")
                     for m in nxt:
-                        cfg.add_edge(ret, m, "normal")
+                        cfg.add_edge(ret, m)
                 else:
                     for m in nxt:
-                        cfg.add_edge(n, m, "normal")
+                        cfg.add_edge(n, m)
 
     for comp in model.components:
         rooted = comp.rooted if comp.rooted is not None else bool(comp.filters)
@@ -486,8 +480,20 @@ def _map_back(d: Fact, info: CallInfo) -> list[Fact]:
     return out
 
 
-def propagate(cfg: Cfg, config: SourceSinkConfig) -> TaintResult:
-    """Worklist tabulation with per-entry-fact procedure summaries."""
+def propagate(
+    cfg: Cfg, config: SourceSinkConfig, skip: frozenset[StmtId] = frozenset()
+) -> TaintResult:
+    """Worklist tabulation with per-entry-fact procedure summaries.
+
+    The source statements in ``skip`` generate no facts. That leaves every
+    other source's tabulation as it was, step for step. Each work item
+    carries one origin: its entry fact ``d1`` is ``ZERO`` or has the origin
+    of its fact ``d2``. An item of one origin yields only items of that
+    origin, and a ``ZERO`` item yields the same items of the other origins
+    whether or not a skipped origin's facts exist. So the items that remain
+    keep their FIFO order, each of their facts keeps its first ``preds``
+    record, and their sink hits keep their order.
+    """
     result = TaintResult()
     preds = result.preds
     path_edges: set[tuple] = set()
@@ -591,7 +597,8 @@ def propagate(cfg: Cfg, config: SourceSinkConfig) -> TaintResult:
             stmt = cfg.stmts[n[1]]
             if d2 is ZERO:
                 outs = [(ZERO, None)]
-                outs += [(g, ("gen", n)) for g in _stmt_gens(stmt, config)]
+                outs += [(g, ("gen", n)) for g in _stmt_gens(stmt, config)
+                         if g.origin not in skip]
             else:
                 outs = [(f, ("flow", n, d2)) for f in _stmt_flow(stmt, d2)]
         elif kind == "retval":
@@ -604,9 +611,7 @@ def propagate(cfg: Cfg, config: SourceSinkConfig) -> TaintResult:
                     outs.append((Fact(RET, d2.chain, d2.origin), ("flow", n, d2)))
         else:  # entry, ret
             outs = [(d2, ("flow", n, d2) if d2 is not ZERO else None)]
-        for m, ekind in cfg.succ.get(n, ()):
-            if ekind != "normal":
-                continue
+        for m, _ in cfg.succ.get(n, ()):
             for f, pred in outs:
                 prop(mk, d1, m, f, pred)
 
@@ -736,15 +741,159 @@ class AnalysisReport:
     timings: list[tuple[str, float]] = field(default_factory=list)
 
 
+class _Window(NamedTuple):
+    """How one window's apps reach each other, as ``_Reuse`` sees it."""
+
+    apps: tuple[str, ...]
+    entries: dict[str, frozenset]  # app -> its entries from the window's other apps
+    out: set  # boundary keys the window links to another app
+    skip: frozenset[StmtId]  # sources an earlier window already covers
+
+
+class _Reuse:
+    """The source statements a window need not tabulate again.
+
+    Each window records the source statements it did not skip, of each of
+    its apps that lies in a later window too. A record holds the source
+    app's *entries*: the components the window's other apps link into, with
+    the link kind, and the ICC sites whose ``start_activity_for_result``
+    result another app returns. It also holds the *boundary* keys where the
+    source's facts could leave that app:
+
+    * an ICC site, by its original statement id (also when it was split
+      into redirect branches), reached by a fact on its intent, or on
+      ``this`` for a result call, whose callback gets the caller;
+    * a component, reached by a fact on the intent or on ``this`` at one of
+      its ``set_result`` statements, or by any fact at its driver's exit,
+      where another app reads the result;
+    * a call naming another app's class, reached by a fact on an argument.
+
+    A window records a source only if it linked none of its keys to another
+    app, so the source's taint stayed in its app. A source the window never
+    reached gets a record with no keys.
+
+    A later window skips the source if one record's entries cover the
+    window's entries into that app, the window links none of the record's
+    keys to another app, and no other app in it calls into that app. The
+    source's facts then meet the same code as in the recording window: they
+    reach no place where the two windows differ, and every way into the app
+    that the later window has, the recording window had too, so it reaches
+    the source only if the recording window did. So the source finds no
+    pair the recording window did not report. Nothing is scanned or
+    recorded when no app lies in two windows.
+    """
+
+    def __init__(
+        self, apps: list[AppModel], links: list[IccLink], windows: list[tuple[str, ...]]
+    ):
+        self.left = Counter(app for window in windows for app in window)
+        # app -> boundary node -> (key, the fact bases that leave there; None: any)
+        self.boundary: dict[str, dict[Node, tuple[object, Optional[frozenset[str]]]]] = {}
+        self.calls_out: dict[str, list[tuple[StmtId, str]]] = {}
+        self.sources: dict[str, list[StmtId]] = {}
+        self.cross: dict[tuple[str, str], list[IccLink]] = {}
+        self.records: dict[str, dict[StmtId, list[tuple[frozenset, frozenset]]]] = {}
+        if any(n > 1 for n in self.left.values()):
+            for app in apps:
+                self._scan(app)
+            for link in links:
+                if link.cross_app:
+                    self.cross.setdefault((link.from_stmt.app, _app_of(link.to)), []).append(link)
+
+    def _scan(self, app: AppModel) -> None:
+        nodes = self.boundary[app.app_id] = {}
+        calls = self.calls_out[app.app_id] = []
+        sources = self.sources[app.app_id] = []
+        for comp in app.components:
+            qname = comp.qualified_name
+            nodes[("exit", (app.app_id, comp.name, "dummyMain"))] = (qname, None)
+            for method in comp.methods():
+                for block in method.blocks:
+                    for stmt in block.stmts:
+                        node = ("stmt", stmt.sid)
+                        if isinstance(stmt, SourceCall):
+                            sources.append(stmt.sid)
+                        elif isinstance(stmt, IccCall):
+                            far = stmt.kind == "start_activity_for_result"
+                            bases = (stmt.intent, "this") if far else (stmt.intent,)
+                            nodes[node] = (stmt.sid, frozenset(bases))
+                        elif isinstance(stmt, SetResult):
+                            nodes[node] = (qname, frozenset((stmt.intent, "this")))
+                        elif isinstance(stmt, Call) and stmt.cls and "/" in stmt.cls:
+                            callee_app = _app_of(stmt.cls)
+                            if callee_app != app.app_id:
+                                nodes[node] = (stmt.sid, frozenset(stmt.args))
+                                calls.append((stmt.sid, callee_app))
+
+    def window(self, app_ids: tuple[str, ...]) -> _Window:
+        """The window's entries, its boundary keys linked to another app, and
+        the sources it skips."""
+        for app in app_ids:
+            self.left[app] -= 1
+        entries: dict[str, set] = {a: set() for a in app_ids}
+        out: set = set()
+        called: set[str] = set()
+        for caller in app_ids:
+            for sid, callee_app in self.calls_out.get(caller, ()):
+                if callee_app in entries:
+                    out.add(sid)
+                    called.add(callee_app)
+            for target in app_ids:
+                for link in self.cross.get((caller, target), ()):
+                    out.add(link.from_stmt)
+                    entries[target].add((link.to, link.kind))
+                    if link.kind == "start_activity_for_result":
+                        out.add(link.to)
+                        entries[caller].add((link.from_stmt, "result"))
+        frozen = {a: frozenset(e) for a, e in entries.items()}
+        skip = frozenset(
+            source
+            for app in app_ids
+            if app not in called
+            for source, records in self.records.get(app, {}).items()
+            if any(frozen[app] <= e and keys.isdisjoint(out) for e, keys in records)
+        )
+        return _Window(app_ids, frozen, out, skip)
+
+    def record(self, window: _Window, preds: dict, sites: dict[StmtId, StmtId]) -> None:
+        """Record the window's sources but the skipped ones, read off the
+        facts ``propagate`` left in ``preds``."""
+        keep = {a for a in window.apps if self.left[a] > 0}
+        if not keep:
+            return
+        nodes: dict[Node, tuple] = {}
+        for app in keep:
+            nodes.update(self.boundary[app])
+        for call, site in sites.items():
+            if call != site and site.app in keep:
+                nodes[("stmt", call)] = self.boundary[site.app][("stmt", site)]
+        reached: dict[StmtId, set] = {
+            s: set() for app in keep for s in self.sources[app] if s not in window.skip
+        }
+        for n, d in [k for k in preds if k[0] in nodes]:
+            key, bases = nodes[n]
+            if d.origin in reached and (bases is None or d.base in bases):
+                reached[d.origin].add(key)
+        for source, keys in reached.items():
+            if not keys.isdisjoint(window.out):
+                continue
+            rec = (window.entries[source.app], frozenset(keys))
+            records = self.records.setdefault(source.app, {}).setdefault(source, [])
+            if rec not in records:
+                records.append(rec)
+
+
 def _analyze_set(
     app_ids: tuple[str, ...],
     by_id: dict[str, AppModel],
     links: dict[str, list[IccLink]],
     config: SourceSinkConfig,
+    reuse: Optional[_Reuse] = None,
 ) -> tuple[list[TaintedPath], list[Diagnostic], float]:
     started = time.perf_counter()
     models = [by_id[i] for i in app_ids]
     merged = models[0] if len(models) == 1 else combine(models)
+    window = reuse.window(app_ids) if reuse is not None else None
     diags: list[Diagnostic] = []
     try:
         inst = instrument_model(merged, local_links(merged, links))
@@ -752,7 +901,9 @@ def _analyze_set(
         return [], [Diagnostic("error", str(exc))], time.perf_counter() - started
     cfg = build_cfg(inst)
     diags.extend(cfg.diagnostics)
-    res = propagate(cfg, config)
+    res = propagate(cfg, config, window.skip if window is not None else frozenset())
+    if window is not None:
+        reuse.record(window, res.preds, inst.sites)
     paths = extract_paths(res, cfg)
     return paths, diags, time.perf_counter() - started
 
@@ -768,17 +919,24 @@ def analyze(
     The corpus is split into connected app groups bounded by ``max_len``;
     each group runs the full pipeline independently, in order, and results
     merge deterministically: overlapping groups may rediscover the same
-    (origin, sink) pair, which is reported once.
+    (origin, sink) pair, which is reported once, with the first group's path.
+
+    A group does not tabulate a source statement again when an earlier group
+    already covers it (see ``_Reuse``). The report stays the same, for two
+    reasons. Skipping a source leaves every other source's tabulation, and
+    so its witness paths, as it was (see ``propagate``). And each pair the
+    skipped source would find here, the recording group found and reported.
     """
     report = AnalysisReport()
     graph = build_iac_graph([a.app_id for a in apps], links)
     report.sets = [tuple(sorted(s)) for s in split_graph(graph, max_len)]
     by_id = {a.app_id: a for a in apps}
     by_app = links_by_app(links)
+    reuse = _Reuse(apps, links, report.sets)
     seen: set[tuple[StmtId, StmtId]] = set()
     merged_paths: list[TaintedPath] = []
     for group in report.sets:
-        paths, diags, elapsed = _analyze_set(group, by_id, by_app, config)
+        paths, diags, elapsed = _analyze_set(group, by_id, by_app, config, reuse)
         report.timings.append(("+".join(group), elapsed))
         report.diagnostics.extend(diags)
         for p in paths:

@@ -401,10 +401,11 @@ class _Run:
         elif "/" in stmt.cls:
             target = self.w.by_qualified.get(stmt.cls)
         else:
-            candidates = self.w.by_name.get(stmt.cls, [])
-            own = [c for c in candidates if c.origin_app == comp.origin_app]
-            candidates = own or candidates
-            target = candidates[0] if len(candidates) == 1 else None
+            # an unqualified class lies in the caller's own app
+            target = next(
+                (c for c in self.w.by_name.get(stmt.cls, []) if c.origin_app == comp.origin_app),
+                None,
+            )
         if target is None:
             return None
         m = target.find_method(stmt.method)

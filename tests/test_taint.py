@@ -300,15 +300,59 @@ def test_unqualified_helper_class_resolves_in_the_callers_app():
     assert {(p.source, p.sink) for p in rep.paths} == oracle.oracle_pairs(apps, CONF)
 
 
-def test_helper_class_declared_only_by_two_other_apps_is_ambiguous():
+def test_helper_class_declared_only_by_two_other_apps_is_unknown():
     other = SENDER.replace("MAIN", "OTHER") % ("OtherApp", HELPER_CLASS)
     apps = _apps(SENDER % ("SenderApp", ""), VIEWER % HELPER_CLASS, other)
     links = match_links(resolve_corpus(apps), apps).links
     rep = analyze(apps, links, CONF, max_len=3)
     assert any(
-        "ambiguous callee class 'Util0' at SenderApp/" in d.message for d in rep.diagnostics
+        "call to unknown class 'Util0' at SenderApp/" in d.message for d in rep.diagnostics
     )
     assert not any(p.source.app == "SenderApp" for p in rep.paths)
+
+
+HELPER_OWNER = """
+app "CApp" {
+  component activity Relay {
+    filter { action "com.x.RELAY"; }
+    method onCreate(this) {
+      v = "clean"
+      i = new_intent
+      set_action i "com.x.VIEW"
+      put_extra i "id" v
+      icc start_activity i
+    }
+  }
+%s}
+""" % HELPER_CLASS
+
+RELAY_STARTER = """
+app "DApp" {
+  component activity Main {
+    filter { action "MAIN"; }
+    method onCreate(this) {
+      i = new_intent
+      set_action i "com.x.RELAY"
+      icc start_activity i
+    }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("max_len", [2, 3, 4])
+def test_helper_class_of_another_app_is_unknown_in_every_window(max_len):
+    # AApp calls Util0, which only CApp declares. AApp and CApp both start
+    # ViewerApp and DApp starts CApp: at max-len 4 one window holds all four
+    # apps, and the call must not resolve there either.
+    apps = _apps(SENDER % ("AApp", ""), HELPER_OWNER, VIEWER % "", RELAY_STARTER)
+    links = match_links(resolve_corpus(apps), apps).links
+    rep = analyze(apps, links, CONF, max_len=max_len)
+    assert rep.paths == []
+    assert {d.message for d in rep.diagnostics} == {
+        "call to unknown class 'Util0' at AApp/Main/onCreate/b0/1"
+    }
+    assert oracle.oracle_pairs(apps, CONF) == set()
 
 
 # ---------------------------------------------------------------------------
