@@ -13,7 +13,6 @@ import os
 import sys
 from typing import Optional
 
-from .bench import render_bench, run_bench
 from .combine import build_iac_graph, split_graph
 from .icc import links_by_app, match_links, resolve_corpus
 from .instrument import InstrumentError, instrument_model, local_links
@@ -132,6 +131,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import render_bench, run_bench  # only bench needs the harness
+
     report = run_bench(args.root, _read_config(args.config))
     _print_diags(report.diagnostics)
     sys.stdout.write(render_bench(report, args.format))

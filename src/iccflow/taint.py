@@ -366,12 +366,6 @@ def _truncate(chain: tuple) -> tuple:
     return chain
 
 
-def _stmt_gens(stmt: Stmt, config: SourceSinkConfig) -> list[Fact]:
-    if isinstance(stmt, SourceCall) and stmt.source in config.sources:
-        return [Fact(stmt.dst, (), stmt.sid)]
-    return []
-
-
 def _stmt_flow(stmt: Stmt, f: Fact) -> list[Fact]:
     """Distributive transfer for one non-call statement and one fact."""
     if isinstance(stmt, Assign):
@@ -493,25 +487,51 @@ def propagate(
     whether or not a skipped origin's facts exist. So the items that remain
     keep their FIFO order, each of their facts keeps its first ``preds``
     record, and their sink hits keep their order.
+
+    ``ZERO`` does one job: at a live source (configured, not skipped) it
+    generates a fact. So it is seeded only at roots, and passed only into
+    callees, from whose entry a live source can be reached through calls.
+    That leaves the result exact. The items left out are ``ZERO`` items,
+    and they yield only further such items: they reach no live source and
+    no sink. They write no ``preds`` record and no hit, and a ``ZERO`` exit
+    maps back to nothing, so no summary leaves a callee they would enter.
+    So every remaining item keeps its FIFO position and its first ``preds``
+    record.
     """
     result = TaintResult()
     preds = result.preds
+    hits = result.hits
+    stmts, calls, succ, retvar = cfg.stmts, cfg.calls, cfg.succ, cfg.retvar
+    sources, sinks = config.sources, config.sinks
+
+    # methods from whose entry a live source can be reached; a statement id
+    # names its method
+    callers: dict[MethodKey, list[MethodKey]] = {}
+    for sid, info in calls.items():
+        callers.setdefault(info.callee, []).append(sid.method_key)
+    todo = [
+        sid.method_key
+        for sid, stmt in stmts.items()
+        if type(stmt) is SourceCall and stmt.source in sources and sid not in skip
+    ]
+    live: set[MethodKey] = set()
+    while todo:
+        mk = todo.pop()
+        if mk not in live:
+            live.add(mk)
+            todo += callers.get(mk, ())
+
     path_edges: set[tuple] = set()
     work: deque[tuple] = deque()
+    push = work.append
     end_summary: dict[tuple, dict[Fact, None]] = {}
     incoming: dict[tuple, list[tuple]] = {}
 
-    def prop(mk: MethodKey, d1: Fact, n: Node, d2: Fact, pred) -> None:
-        key = (mk, d1, n, d2)
-        if key in path_edges:
-            return
-        path_edges.add(key)
-        if pred is not None:
-            preds.setdefault((n, d2), pred)
-        work.append(key)
-
     for root in cfg.roots:
-        prop(root[1], ZERO, root, ZERO, None)
+        key = (root[1], ZERO, root, ZERO)
+        if root[1] in live and key not in path_edges:
+            path_edges.add(key)
+            push(key)
 
     def apply_summary(
         caller_mk: MethodKey,
@@ -523,14 +543,13 @@ def propagate(
         d_exit: Fact,
     ) -> None:
         ret_node: Node = ("ret", call_node[1])
+        pred = ("summary", call_node, d_at_call, exit_node, d_exit)
         for dr in _map_back(d_exit, info):
-            prop(
-                caller_mk,
-                caller_d1,
-                ret_node,
-                dr,
-                ("summary", call_node, d_at_call, exit_node, d_exit),
-            )
+            key = (caller_mk, caller_d1, ret_node, dr)
+            if key not in path_edges:
+                path_edges.add(key)
+                preds.setdefault((ret_node, dr), pred)
+                push(key)
 
     while work:
         mk, d1, n, d2 = work.popleft()
@@ -538,82 +557,98 @@ def propagate(
 
         if kind == "stmt":
             sid = n[1]
-            stmt = cfg.stmts[sid]
-            if (
-                isinstance(stmt, SinkCall)
-                and stmt.sink in config.sinks
-                and d2 is not ZERO
-                and d2.base == stmt.var
-            ):
-                result.hits.append(SinkHit(d2, sid, n, stmt.sink))
-
-            info = cfg.calls.get(sid)
+            info = calls.get(sid)
             if info is not None:
                 callee = info.callee
-                entry_node: Node = ("entry", callee)
-                exit_node: Node = ("exit", callee)
-                ret_node: Node = ("ret", sid)
-                mapped = [ZERO] if d2 is ZERO else _map_into(d2, info)
+                if d2 is ZERO:
+                    mapped = [ZERO] if callee in live else []
+                else:
+                    mapped = _map_into(d2, info)
                 for dp in mapped:
-                    prop(callee, dp, entry_node, dp,
-                         ("xfer", n, d2) if dp is not ZERO else None)
+                    entry_node: Node = ("entry", callee)
+                    key = (callee, dp, entry_node, dp)
+                    if key not in path_edges:
+                        path_edges.add(key)
+                        if dp is not ZERO:
+                            preds.setdefault((entry_node, dp), ("xfer", n, d2))
+                        push(key)
                     ckey = (callee, dp)
                     waiters = incoming.setdefault(ckey, [])
                     item = (n, d2, mk, d1)
                     if item not in waiters:
                         waiters.append(item)
                     for d_exit in end_summary.get(ckey, ()):
-                        apply_summary(mk, d1, n, d2, info, exit_node, d_exit)
+                        apply_summary(mk, d1, n, d2, info, ("exit", callee), d_exit)
                 # call_to_return: facts not entering the callee flow around it
-                if d2 is ZERO:
-                    prop(mk, d1, ret_node, ZERO, None)
-                else:
-                    if info.dst is not None and d2.base == info.dst:
-                        pass  # the call's result overwrites dst
-                    elif d2.base in info.args and d2.chain:
-                        pass  # travels through the callee; mapped back at exit
-                    else:
-                        prop(mk, d1, ret_node, d2, ("flow", n, d2))
+                if d2 is not ZERO and (
+                    (info.dst is not None and d2.base == info.dst)  # result overwrites dst
+                    or (d2.base in info.args and d2.chain)  # mapped back at exit
+                ):
+                    continue
+                ret_node: Node = ("ret", sid)
+                key = (mk, d1, ret_node, d2)
+                if key not in path_edges:
+                    path_edges.add(key)
+                    if d2 is not ZERO:
+                        preds.setdefault((ret_node, d2), ("flow", n, d2))
+                    push(key)
                 continue
-
-        if kind == "exit":
+            stmt = stmts[sid]
+        elif kind == "exit":
+            if d2 is ZERO:
+                continue  # maps back to nothing
             skey = (mk, d1)
             sums = end_summary.setdefault(skey, {})
             if d2 in sums:
                 continue
             sums[d2] = None
-            for call_node_sid, d_at_call, caller_mk, caller_d1 in list(
-                incoming.get(skey, ())
-            ):
-                info = cfg.calls[call_node_sid[1]]
-                apply_summary(
-                    caller_mk, caller_d1, call_node_sid, d_at_call, info, n, d2
-                )
+            for call_node, d_at_call, caller_mk, caller_d1 in incoming.get(skey, ()):
+                info = calls[call_node[1]]
+                apply_summary(caller_mk, caller_d1, call_node, d_at_call, info, n, d2)
             continue
 
-        # normal flow
-        outs: list[tuple[Fact, Optional[tuple]]]
+        if d2 is ZERO:
+            # per successor: ZERO, then the fact a live source generates
+            gen = None
+            if (
+                kind == "stmt"
+                and type(stmt) is SourceCall
+                and stmt.source in sources
+                and sid not in skip
+            ):
+                gen = Fact(stmt.dst, (), sid)
+            for m, _ in succ.get(n, ()):
+                key = (mk, d1, m, ZERO)
+                if key not in path_edges:
+                    path_edges.add(key)
+                    push(key)
+                if gen is not None:
+                    key = (mk, d1, m, gen)
+                    if key not in path_edges:
+                        path_edges.add(key)
+                        preds.setdefault((m, gen), ("gen", n))
+                        push(key)
+            continue
+
         if kind == "stmt":
-            stmt = cfg.stmts[n[1]]
-            if d2 is ZERO:
-                outs = [(ZERO, None)]
-                outs += [(g, ("gen", n)) for g in _stmt_gens(stmt, config)
-                         if g.origin not in skip]
-            else:
-                outs = [(f, ("flow", n, d2)) for f in _stmt_flow(stmt, d2)]
+            if type(stmt) is SinkCall and stmt.sink in sinks and d2.base == stmt.var:
+                hits.append(SinkHit(d2, sid, n, stmt.sink))
+            outs = _stmt_flow(stmt, d2)
         elif kind == "retval":
-            if d2 is ZERO:
-                outs = [(ZERO, None)]
-            else:
-                outs = [(d2, ("flow", n, d2))]
-                rv = cfg.retvar.get(n[1])
-                if rv is not None and d2.base == rv:
-                    outs.append((Fact(RET, d2.chain, d2.origin), ("flow", n, d2)))
+            outs = [d2]
+            rv = retvar.get(n[1])
+            if rv is not None and d2.base == rv:
+                outs.append(Fact(RET, d2.chain, d2.origin))
         else:  # entry, ret
-            outs = [(d2, ("flow", n, d2) if d2 is not ZERO else None)]
-        for m, _ in cfg.succ.get(n, ()):
-            for f, pred in outs:
-                prop(mk, d1, m, f, pred)
+            outs = [d2]
+        pred = ("flow", n, d2)
+        for m, _ in succ.get(n, ()):
+            for f in outs:
+                key = (mk, d1, m, f)
+                if key not in path_edges:
+                    path_edges.add(key)
+                    preds.setdefault((m, f), pred)
+                    push(key)
 
     return result
 
@@ -916,16 +951,19 @@ def analyze(
 ) -> AnalysisReport:
     """Scope, combine, instrument and propagate over a whole corpus.
 
-    The corpus is split into connected app groups bounded by ``max_len``;
-    each group runs the full pipeline independently, in order, and results
-    merge deterministically: overlapping groups may rediscover the same
-    (origin, sink) pair, which is reported once, with the first group's path.
+    The corpus is split into app windows (``split_graph``): a connected
+    group of at most ``max_len`` apps, or else the largest sets of at most
+    ``max_len`` apps that one walk along link direction covers. Each window
+    runs the full pipeline independently, in order, and results merge
+    deterministically: overlapping windows may rediscover the same (origin,
+    sink) pair, which is reported once, with the first window's path.
 
-    A group does not tabulate a source statement again when an earlier group
-    already covers it (see ``_Reuse``). The report stays the same, for two
-    reasons. Skipping a source leaves every other source's tabulation, and
-    so its witness paths, as it was (see ``propagate``). And each pair the
-    skipped source would find here, the recording group found and reported.
+    A window does not tabulate a source statement again when an earlier
+    window already covers it (see ``_Reuse``). The report stays the same,
+    for two reasons. Skipping a source leaves every other source's
+    tabulation, and so its witness paths, as it was (see ``propagate``). And
+    each pair the skipped source would find here, the recording window found
+    and reported.
     """
     report = AnalysisReport()
     graph = build_iac_graph([a.app_id for a in apps], links)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from iccflow import taint
 from iccflow.combine import build_iac_graph, combine, split_graph
 from iccflow.icc import links_by_app, match_links, resolve_corpus
@@ -379,3 +380,27 @@ def test_a_later_window_that_differs_reports_the_pair(monkeypatch, case):
     assert report.sets == [("A", "M"), ("A", "Z")]
     assert (source, sink) in {(str(p.source), str(p.sink)) for p in report.paths}
     _check_against_full_merge(monkeypatch, apps, 2)
+
+
+# ---------------------------------------------------------------------------
+# known defect: a result callback outside the window is left out
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "max_len",
+    [
+        pytest.param(2, marks=pytest.mark.xfail(
+            strict=True,
+            reason="window (A, Z) leaves A's result call to M opaque, so the "
+                   "callback that cleans this.f never runs (ROADMAP Known defects)",
+        )),
+        3,
+    ],
+)
+def test_callback_kill_reports_only_oracle_pairs(max_len):
+    texts, _ = TRIPLES["callback_kill"]
+    apps = [parse_app(text).app for text in texts]
+    links = match_links(resolve_corpus(apps), apps).links
+    got = {(p.source, p.sink) for p in analyze(apps, links, CONFIG, max_len).paths}
+    assert got <= oracle.oracle_pairs(apps, CONFIG)
