@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Check that ``iccflow analyze`` reports the same as a base checkout does.
+
+    python3 scripts/report_identity.py --base ../iccflow-base [--head .]
+
+Runs ``python -m iccflow.cli analyze`` from each checkout's ``src`` on the
+same inputs and compares standard output, exit status, and standard error
+without its ``[time]`` lines. The inputs are the benchmark corpora
+``dense`` and ``sparse`` (seed 1, ``--max-len 2``) and ``widen`` (seed 1,
+``--max-len 3``), built with the head's ``perfbench/workloads.py``, and
+``corpus/bench`` at ``--max-len`` 2, 3 and 4, as text and as TSV. Prints
+one line per case and exits 1 if any case differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+WORKLOADS = (("dense", 2), ("sparse", 2), ("widen", 3))
+SEED = 1
+
+
+def _run(checkout: Path, argv: list[str]) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "iccflow.cli", *argv],
+        cwd=checkout, env=env, capture_output=True, text=True, timeout=600,
+    )
+    err = "".join(line for line in proc.stderr.splitlines(True) if not line.startswith("[time]"))
+    return proc.returncode, proc.stdout, err
+
+
+def cases(head: Path, work: Path) -> list[tuple[str, list[str]]]:
+    """(name, analyze arguments) of every compared run; writes the corpora."""
+    sys.path[:0] = [str(head / "src"), str(head / "tests"), str(head / "perfbench")]
+    import workloads
+
+    config = str(head / "corpus" / "sources_sinks.conf")
+    out = []
+    for name, max_len in WORKLOADS:
+        corpus = work / f"{name}-{SEED}"
+        workloads.generate(name, SEED).write(corpus)
+        out.append((f"{name} seed {SEED}", [str(corpus), "--max-len", str(max_len)]))
+    bench = str(head / "corpus" / "bench")
+    for max_len in (2, 3, 4):
+        for fmt in ("text", "tsv"):
+            out.append((f"corpus/bench max-len {max_len} {fmt}",
+                        [bench, "--max-len", str(max_len), "--format", fmt]))
+    return [(name, ["analyze", *args, "--config", config]) for name, args in out]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, type=Path, help="base checkout")
+    parser.add_argument("--head", default=Path.cwd(), type=Path, help="checkout under test")
+    args = parser.parse_args()
+    base, head = args.base.resolve(), args.head.resolve()
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in cases(head, Path(tmp)):
+            want, got = _run(base, argv), _run(head, argv)
+            parts = [part for part, a, b in zip(("exit status", "stdout", "stderr"), want, got)
+                     if a != b]
+            differ += bool(parts)
+            print(f"{name}: {'differs in ' + ', '.join(parts) if parts else 'identical'}"
+                  f" (exit {got[0]}, {got[1].count(chr(10))} lines)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .combine import build_iac_graph, split_graph
 from .icc import links_by_app, match_links, resolve_corpus
-from .instrument import InstrumentError, instrument_model, local_links
+from .instrument import InstrumentError, instrument_model
 from .ir import AppModel, Diagnostic, error
 from .parser import corpus_files, load_corpus, serialize_app
 from .taint import SourceSinkConfig, analyze, load_config, render_report
@@ -93,7 +93,7 @@ def _cmd_instrument(args) -> int:
     status = 1 if result.diagnostics else 0
     by_app = links_by_app(result.links)
     outputs = [
-        instrument_model(app, local_links(app, by_app))
+        instrument_model(app, by_app.get(app.app_id, []))
         for app in sorted(apps, key=lambda a: a.app_id)
     ]
     if args.output:

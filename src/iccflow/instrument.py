@@ -20,9 +20,10 @@ their redirects, and call sites with no links at all are left in place (a
 dead call keeps an unlinked component exactly as unreachable as it was).
 
 The input model is never modified. The output copies on write: components
-are shallow copies with their own method containers, and each method holding
-a linked site is copied down to its statement lists; every other method,
-statement and filter is shared with the input.
+are shallow copies with their own method containers, each method holding a
+linked site is copied down to its statement lists, and the rest is shared.
+So an app instrumented with its intra-app links serves all its app windows;
+``link_window`` adds each window's cross-app links on top.
 """
 
 from __future__ import annotations
@@ -243,14 +244,17 @@ def _ensure_accessors(target: Component, fld: str, setter: str, getter: str) -> 
 def _redirect_body(
     n: int, link: IccLink, caller: Component, target: Component
 ) -> Method:
-    """One straight-line redirect method per link."""
+    """One straight-line redirect method per link; the target gets the
+    accessors the redirect calls, unless it has them."""
     qname = target.qualified_name
+    _ensure_accessors(target, INTENT_FIELD, "ctor", "getIntent")
     stmts: list[Stmt] = [
         NewObj(dst="t", cls=qname),
         _call("ctor", ("t", "i"), cls=qname),
         _call("dummyMain", ("t",), cls=qname),
     ]
     if link.kind == "start_activity_for_result":
+        _ensure_accessors(target, RESULT_FIELD, "setResult", "getIntentFAR")
         params = ("caller", "i")
         stmts.append(_call("getIntentFAR", ("t",), cls=qname, dst="res"))
         if caller.find_method("onActivityResult") is not None:
@@ -317,13 +321,18 @@ def _replace_site(
     method.blocks[pos:pos] = new_blocks + [cont]
 
 
-def _own(comp: Component, touched: set[tuple[str, str, str]]) -> Component:
+def _own(
+    comp: Component, touched: set[tuple[str, str, str]], base: Optional[Component] = None
+) -> Component:
     """A shallow copy of the component with its own method containers;
-    methods in ``touched`` also get their own blocks and statement lists."""
+    methods in ``touched`` also get their own blocks and statement lists,
+    copied from ``base``'s method of the same name when given."""
 
     def own(m: Method) -> Method:
         if (comp.origin_app, comp.name, m.name) not in touched:
             return m
+        if base is not None:
+            m = base.find_method(m.name)
         return replace(m, blocks=[replace(b, stmts=list(b.stmts)) for b in m.blocks])
 
     return replace(
@@ -334,12 +343,65 @@ def _own(comp: Component, touched: set[tuple[str, str, str]]) -> Component:
     )
 
 
-def local_links(model: AppModel, by_app: dict[str, list[IccLink]]) -> list[IccLink]:
-    """The links of ``by_app`` (see ``links_by_app``) whose call site lies in
-    the model: keyed on the components' origin apps, as a combined model's
-    id is ``A+B``, and taken in app order, so sorted links stay sorted."""
-    apps = sorted({c.origin_app for c in model.components})
-    return [link for app in apps for link in by_app.get(app, ())]
+def _group(model: AppModel, links: list[IccLink]) -> dict[StmtId, list[IccLink]]:
+    """The links with both ends in the model, by call site."""
+    local_apps = {c.origin_app for c in model.components}
+    kinds = {c.qualified_name: c.kind for c in model.components}
+    groups: dict[StmtId, list[IccLink]] = {}
+    for link in links:
+        kind = kinds.get(link.to)
+        if kind is None or link.from_stmt.app not in local_apps:
+            continue  # an end outside the model: a window left its app out
+        if kind is ComponentKind.PROVIDER:
+            raise InstrumentError(f"link into provider component {link.to!r} rejected")
+        groups.setdefault(link.from_stmt, []).append(link)
+    return groups
+
+
+def _redirect_sites(
+    out: AppModel, groups: dict[StmtId, list[IccLink]], known: dict, cls: str
+) -> None:
+    """Replace each linked site of ``out`` with a call per link, sites and
+    links in sorted order.
+
+    A link in ``known`` gets a copy of its call there. Any other link gets a
+    redirect on a new helper class ``IpcSC`` of ``out``, which its call names
+    as ``cls``; its target gets the accessors the redirect uses and becomes a
+    root.
+    """
+    by_qualified = {c.qualified_name: c for c in out.components}
+    helper = Component(name="IpcSC", kind=ComponentKind.CLASS, synthetic=True, origin_app=out.app_id)
+    site_counters: dict[int, int] = {}
+    for sid in sorted(groups):
+        located = _locate(out, sid)
+        if located is None:
+            raise InstrumentError(f"link source statement {sid} no longer exists")
+        comp, method, block, index = located
+        stmt = block.stmts[index]
+        if not isinstance(stmt, IccCall):
+            raise InstrumentError(f"link source statement {sid} is not an icc call")
+        links = sorted(groups[sid])
+        calls: list[Call] = []
+        for link in links:
+            if link in known:
+                calls.append(replace(known[link]))
+                continue
+            target = by_qualified[link.to]
+            target.rooted = True
+            redirect = _redirect_body(len(helper.helpers), link, comp, target)
+            _stamp(redirect, out.app_id, "IpcSC")
+            helper.helpers.append(redirect)
+            far = link.kind == "start_activity_for_result"
+            args = ("this", stmt.intent) if far else (stmt.intent,)
+            calls.append(_call(redirect.name, args, cls=cls))
+        key = id(method)
+        site = site_counters.get(key, 0)
+        site_counters[key] = site + 1
+        _replace_site(method, block, index, calls, site)
+        out.sites.update((call.sid, sid) for call in calls)
+        out.redirects.update(zip(links, calls))
+    if helper.helpers:
+        out.components.append(helper)
 
 
 def instrument_model(model: AppModel, links: list[IccLink]) -> AppModel:
@@ -350,78 +412,22 @@ def instrument_model(model: AppModel, links: list[IccLink]) -> AppModel:
     never modified. The model realizes the links whose both endpoints live
     inside it; links that point outside (a split window dropped the partner
     app) leave the call site untouched. The output's ``sites`` maps each
-    redirect call to the ICC site it replaced. A model showing any synthetic
-    marker or reserved name is rejected rather than instrumented twice.
+    redirect call to the ICC site it replaced, and its ``redirects`` each
+    realized link to its call. A model showing any synthetic marker or
+    reserved name is rejected rather than instrumented twice.
     """
     if _already_instrumented(model):
         raise InstrumentError(
             f"{model.app_id}: model is already instrumented "
             "(synthetic markers or reserved names present)"
         )
-    local_apps = {c.origin_app for c in model.components}
-    kinds = {c.qualified_name: c.kind for c in model.components}
-
-    groups: dict[StmtId, list[IccLink]] = {}
-    for link in links:
-        if link.from_stmt.app not in local_apps:
-            continue
-        kind = kinds.get(link.to)
-        if kind is None:
-            continue  # partner app not in this model
-        if kind is ComponentKind.PROVIDER:
-            raise InstrumentError(f"link into provider component {link.to!r} rejected")
-        groups.setdefault(link.from_stmt, []).append(link)
-
+    groups = _group(model, links)
     touched = {sid.method_key for sid in groups}
-    out = replace(model, components=[_own(c, touched) for c in model.components], sites={})
-    by_qualified = {c.qualified_name: c for c in out.components}
+    components = [_own(c, touched) for c in model.components]
+    out = replace(model, components=components, sites={}, redirects={})
+    _redirect_sites(out, groups, {}, "IpcSC")
 
-    helper: Optional[Component] = None
-    redirect_n = 0
-    site_counters: dict[int, int] = {}
-    linked_targets: set[str] = set()
-
-    for sid in sorted(groups):
-        located = _locate(out, sid)
-        if located is None:
-            raise InstrumentError(f"link source statement {sid} no longer exists")
-        comp, method, block, index = located
-        stmt = block.stmts[index]
-        if not isinstance(stmt, IccCall):
-            raise InstrumentError(f"link source statement {sid} is not an icc call")
-
-        if helper is None:
-            helper = Component(
-                name="IpcSC",
-                kind=ComponentKind.CLASS,
-                synthetic=True,
-                origin_app=out.app_id,
-            )
-            out.components.append(helper)
-
-        calls: list[Call] = []
-        for link in sorted(groups[sid]):
-            target = by_qualified[link.to]
-            _ensure_accessors(target, INTENT_FIELD, "ctor", "getIntent")
-            if link.kind == "start_activity_for_result":
-                _ensure_accessors(target, RESULT_FIELD, "setResult", "getIntentFAR")
-            redirect = _redirect_body(redirect_n, link, comp, target)
-            _stamp(redirect, out.app_id, "IpcSC")
-            helper.helpers.append(redirect)
-            if link.kind == "start_activity_for_result":
-                args = ("this", stmt.intent)
-            else:
-                args = (stmt.intent,)
-            calls.append(_call(redirect.name, args, cls="IpcSC"))
-            redirect_n += 1
-            linked_targets.add(link.to)
-
-        key = id(method)
-        site = site_counters.get(key, 0)
-        site_counters[key] = site + 1
-        _replace_site(method, block, index, calls, site)
-        out.sites.update((call.sid, sid) for call in calls)
-
+    linked_targets = {link.to for sid_links in groups.values() for link in sid_links}
     for comp in out.components:
         if comp.kind is ComponentKind.CLASS:
             continue
@@ -431,4 +437,32 @@ def instrument_model(model: AppModel, links: list[IccLink]) -> AppModel:
         comp.helpers.append(synthesize_dummy_main(comp))
         comp.rooted = bool(comp.filters) or comp.qualified_name in linked_targets
 
+    return out
+
+
+def link_window(model: AppModel, apps: dict[str, AppModel], links: list[IccLink]) -> AppModel:
+    """Add cross-app links to ``model``, a ``combine`` of apps each of which
+    ``instrument_model`` instrumented with its intra-app links.
+
+    ``apps`` maps app ids to the input models. The output copies on write.
+    Each method holding a cross-linked site is instrumented again from its
+    input method with all its links; an intra-app link keeps its call to its
+    app's ``IpcSC``, and the cross-app redirects go on the window's, named
+    qualified. So the output is ``instrument_model`` of the combined input
+    apps, up to the names of synthetic statements.
+    """
+    groups = _group(model, links)
+    touched = {sid.method_key for sid in groups}
+    # the cross-app targets and the callers
+    copied = {link.to for ls in groups.values() for link in ls} | {f"{a}/{c}" for a, c, _ in touched}
+    for link in model.redirects:
+        if link.from_stmt.method_key in touched:
+            groups.setdefault(link.from_stmt, []).append(link)
+    components = [
+        _own(c, touched, apps[c.origin_app].component(c.name)) if c.qualified_name in copied else c
+        for c in model.components
+    ]
+    sites = {c: s for c, s in model.sites.items() if c.method_key not in touched}
+    out = replace(model, components=components, sites=sites, redirects=dict(model.redirects))
+    _redirect_sites(out, groups, model.redirects, f"{out.app_id}/IpcSC")
     return out

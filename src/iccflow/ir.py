@@ -343,8 +343,9 @@ class AppModel:
     app_id: str
     components: list[Component] = field(default_factory=list)
     source_path: Optional[str] = field(default=None, compare=False)
-    # Set by the instrumenter: the ICC site each redirect call stands for.
+    # Set by the instrumenter: the ICC site of each redirect call; each link's call.
     sites: dict[StmtId, StmtId] = field(default_factory=dict, compare=False, repr=False)
+    redirects: dict[object, Call] = field(default_factory=dict, compare=False, repr=False)
 
     def component(self, name: str) -> Optional[Component]:
         for c in self.components:

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .combine import _app_of, build_iac_graph, combine, split_graph
 from .icc import IccLink, links_by_app
-from .instrument import InstrumentError, instrument_model, local_links
+from .instrument import InstrumentError, instrument_model, link_window
 from .ir import (
     AppModel,
     Assign,
@@ -218,11 +218,10 @@ def _resolve_callee(
         target = by_qualified.get(stmt.cls)
     else:
         # an unqualified class lies in the caller's own app, or is the
-        # instrumenter's helper
-        target = next(
-            (c for c in by_name.get(stmt.cls, ())
-             if c.origin_app == comp.origin_app or c.synthetic),
-            None,
+        # instrumenter's helper of a combined model
+        named = by_name.get(stmt.cls, ())
+        target = next((c for c in named if c.origin_app == comp.origin_app), None) or next(
+            (c for c in named if c.synthetic), None
         )
     if target is None:
         cfg.diagnostics.append(
@@ -673,15 +672,17 @@ class PathReconstructionError(Exception):
     """A pred chain failed to reach its source — an internal invariant bug."""
 
 
-def _trace(node: Node, fact: Fact, preds: dict, stop_at_entry: bool) -> tuple[list[Node], bool]:
+def _trace(node: Node, fact: Fact, preds: dict) -> tuple[list[Node], bool]:
     """Walk pred records backwards; returns (source-first nodes, complete?).
 
     A summary record first walks the callee back from its exit, stopping at
     the callee's entry; if that inner walk does not reach a source, the walk
-    resumes at the call. Pending call sites wait on an explicit stack.
+    resumes at the call. Pending call sites wait on an explicit stack. A
+    call that passed ``ZERO`` passed no taint in, so the walk goes on past
+    its callee's entry, to the (recursive) call that passed the fact in.
     """
     out = [node]
-    n, d = node, fact
+    n, d, stop_at_entry = node, fact, False
     calls: list[tuple[Node, Fact, bool]] = []
     while True:
         pr = preds.get((n, d))
@@ -689,7 +690,7 @@ def _trace(node: Node, fact: Fact, preds: dict, stop_at_entry: bool) -> tuple[li
         if tag == "gen":
             out.append(pr[1])
             return list(reversed(out)), True
-        if tag is None or (tag == "xfer" and stop_at_entry):
+        if tag is None or (tag == "xfer" and stop_at_entry and calls[-1][1] is not ZERO):
             if not calls:
                 return list(reversed(out)), False
             n, d, stop_at_entry = calls.pop()
@@ -742,7 +743,7 @@ def extract_paths(result: TaintResult, cfg: Cfg) -> list[TaintedPath]:
         key = (hit.fact.origin, hit.sink)
         if key in paths:
             continue
-        nodes, complete = _trace(hit.node, hit.fact, result.preds, stop_at_entry=False)
+        nodes, complete = _trace(hit.node, hit.fact, result.preds)
         if not complete:
             raise PathReconstructionError(
                 f"pred chain for {hit.fact} at {hit.sink} never reached its source"
@@ -783,10 +784,16 @@ class _Window(NamedTuple):
     entries: dict[str, frozenset]  # app -> its entries from the window's other apps
     out: set  # boundary keys the window links to another app
     skip: frozenset[StmtId]  # sources an earlier window already covers
+    links: list[IccLink]  # links between two of its apps
 
 
 class _Reuse:
-    """The source statements a window need not tabulate again.
+    """What a window need not redo: instrumentation, and source statements.
+
+    An app that lies in several windows is instrumented once with its
+    intra-app links, kept until its last window, and each window adds the
+    links between its apps' parts from an index by (call-site app, target
+    app).
 
     Each window records the source statements it did not skip, of each of
     its apps that lies in a later window too. A record holds the source
@@ -819,21 +826,29 @@ class _Reuse:
     """
 
     def __init__(
-        self, apps: list[AppModel], links: list[IccLink], windows: list[tuple[str, ...]]
+        self, apps: list[AppModel], by_app: dict[str, list[IccLink]], windows: list[tuple[str, ...]]
     ):
         self.left = Counter(app for window in windows for app in window)
+        self.parts: dict[str, Optional[AppModel]] = {}  # None: it failed
+        self.intra: dict[str, list[IccLink]] = {}
+        self.cross: dict[tuple[str, str], list[IccLink]] = {}
+        # the app each origin app lies in (an app given combined holds several)
+        owner = {c.origin_app: app.app_id for app in apps for c in app.components}
+        for origin, app_links in by_app.items():
+            for link in app_links if origin in owner else ():
+                app, target = owner[origin], _app_of(link.to)
+                if owner.get(target) == app:
+                    self.intra.setdefault(app, []).append(link)
+                else:
+                    self.cross.setdefault((app, target), []).append(link)
         # app -> boundary node -> (key, the fact bases that leave there; None: any)
         self.boundary: dict[str, dict[Node, tuple[object, Optional[frozenset[str]]]]] = {}
         self.calls_out: dict[str, list[tuple[StmtId, str]]] = {}
         self.sources: dict[str, list[StmtId]] = {}
-        self.cross: dict[tuple[str, str], list[IccLink]] = {}
         self.records: dict[str, dict[StmtId, list[tuple[frozenset, frozenset]]]] = {}
         if any(n > 1 for n in self.left.values()):
             for app in apps:
                 self._scan(app)
-            for link in links:
-                if link.cross_app:
-                    self.cross.setdefault((link.from_stmt.app, _app_of(link.to)), []).append(link)
 
     def _scan(self, app: AppModel) -> None:
         nodes = self.boundary[app.app_id] = {}
@@ -861,13 +876,14 @@ class _Reuse:
                                 calls.append((stmt.sid, callee_app))
 
     def window(self, app_ids: tuple[str, ...]) -> _Window:
-        """The window's entries, its boundary keys linked to another app, and
-        the sources it skips."""
+        """The window's entries, its boundary keys linked to another app, the
+        sources it skips and its cross-app links."""
         for app in app_ids:
             self.left[app] -= 1
         entries: dict[str, set] = {a: set() for a in app_ids}
         out: set = set()
         called: set[str] = set()
+        links: list[IccLink] = []
         for caller in app_ids:
             for sid, callee_app in self.calls_out.get(caller, ()):
                 if callee_app in entries:
@@ -875,6 +891,7 @@ class _Reuse:
                     called.add(callee_app)
             for target in app_ids:
                 for link in self.cross.get((caller, target), ()):
+                    links.append(link)
                     out.add(link.from_stmt)
                     entries[target].add((link.to, link.kind))
                     if link.kind == "start_activity_for_result":
@@ -888,7 +905,32 @@ class _Reuse:
             for source, records in self.records.get(app, {}).items()
             if any(frozen[app] <= e and keys.isdisjoint(out) for e, keys in records)
         )
-        return _Window(app_ids, frozen, out, skip)
+        return _Window(app_ids, frozen, out, skip, links)
+
+    def instrument(self, window: _Window, by_id: dict[str, AppModel]) -> AppModel:
+        """The window's instrumented model: its apps' parts with the links
+        between them on top, or, when none of its apps lies in another
+        window, the window instrumented whole."""
+        shared = any(a in self.parts or self.left[a] for a in window.apps)
+        parts = [self._part(a, by_id) for a in window.apps] if shared else []
+        if not shared or None in parts:  # whole; a failed part fails here too
+            models = [by_id[a] for a in window.apps]
+            links = [link for a in window.apps for link in self.intra.get(a, ())]
+            merged = models[0] if len(models) == 1 else combine(models)
+            return instrument_model(merged, sorted(links + window.links))
+        if len(parts) == 1:
+            return parts[0]
+        return link_window(combine(parts), by_id, window.links)
+
+    def _part(self, app: str, by_id: dict[str, AppModel]) -> Optional[AppModel]:
+        """The app instrumented with its intra-app links (None if that
+        fails), built at its first window and dropped after its last."""
+        if app not in self.parts:
+            try:
+                self.parts[app] = instrument_model(by_id[app], self.intra.get(app, []))
+            except InstrumentError:
+                self.parts[app] = None
+        return self.parts[app] if self.left[app] else self.parts.pop(app)
 
     def record(self, window: _Window, preds: dict, sites: dict[StmtId, StmtId]) -> None:
         """Record the window's sources but the skipped ones, read off the
@@ -921,26 +963,23 @@ class _Reuse:
 def _analyze_set(
     app_ids: tuple[str, ...],
     by_id: dict[str, AppModel],
-    links: dict[str, list[IccLink]],
+    by_app: dict[str, list[IccLink]],
     config: SourceSinkConfig,
     reuse: Optional[_Reuse] = None,
 ) -> tuple[list[TaintedPath], list[Diagnostic], float]:
     started = time.perf_counter()
-    models = [by_id[i] for i in app_ids]
-    merged = models[0] if len(models) == 1 else combine(models)
-    window = reuse.window(app_ids) if reuse is not None else None
-    diags: list[Diagnostic] = []
+    if reuse is None:  # a window on its own
+        reuse = _Reuse([by_id[a] for a in app_ids], by_app, [app_ids])
+    window = reuse.window(app_ids)
     try:
-        inst = instrument_model(merged, local_links(merged, links))
+        inst = reuse.instrument(window, by_id)
     except InstrumentError as exc:
         return [], [Diagnostic("error", str(exc))], time.perf_counter() - started
     cfg = build_cfg(inst)
-    diags.extend(cfg.diagnostics)
-    res = propagate(cfg, config, window.skip if window is not None else frozenset())
-    if window is not None:
-        reuse.record(window, res.preds, inst.sites)
+    res = propagate(cfg, config, window.skip)
+    reuse.record(window, res.preds, inst.sites)
     paths = extract_paths(res, cfg)
-    return paths, diags, time.perf_counter() - started
+    return paths, list(cfg.diagnostics), time.perf_counter() - started
 
 
 def analyze(
@@ -953,24 +992,26 @@ def analyze(
 
     The corpus is split into app windows (``split_graph``): a connected
     group of at most ``max_len`` apps, or else the largest sets of at most
-    ``max_len`` apps that one walk along link direction covers. Each window
-    runs the full pipeline independently, in order, and results merge
-    deterministically: overlapping windows may rediscover the same (origin,
-    sink) pair, which is reported once, with the first window's path.
+    ``max_len`` apps that one walk along link direction covers. Windows run
+    in order, and results merge deterministically: overlapping windows may
+    rediscover the same (origin, sink) pair, which is reported once, with the
+    first window's path.
 
-    A window does not tabulate a source statement again when an earlier
-    window already covers it (see ``_Reuse``). The report stays the same,
-    for two reasons. Skipping a source leaves every other source's
-    tabulation, and so its witness paths, as it was (see ``propagate``). And
-    each pair the skipped source would find here, the recording window found
-    and reported.
+    Windows share work without changing the report (see ``_Reuse``). An app
+    that lies in several windows is instrumented once, and each window adds
+    only the links between its apps: its model is the one instrumenting the
+    window whole builds, up to the names of synthetic statements. A window
+    does not tabulate a source statement again when an earlier window covers
+    it: skipping a source leaves every other source's tabulation, and so its
+    witness paths, as it was (see ``propagate``), and each pair the skipped
+    source would find here, the recording window found and reported.
     """
     report = AnalysisReport()
     graph = build_iac_graph([a.app_id for a in apps], links)
     report.sets = [tuple(sorted(s)) for s in split_graph(graph, max_len)]
     by_id = {a.app_id: a for a in apps}
     by_app = links_by_app(links)
-    reuse = _Reuse(apps, links, report.sets)
+    reuse = _Reuse(apps, by_app, report.sets)
     seen: set[tuple[StmtId, StmtId]] = set()
     merged_paths: list[TaintedPath] = []
     for group in report.sets:

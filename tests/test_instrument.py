@@ -3,13 +3,12 @@ from pathlib import Path
 import pytest
 
 from iccflow.combine import combine
-from iccflow.icc import IccLink, links_by_app, match_links, resolve_corpus
+from iccflow.icc import IccLink, match_links, resolve_corpus
 from iccflow.instrument import (
     INTENT_FIELD,
     RESULT_FIELD,
     InstrumentError,
     instrument_model,
-    local_links,
     synthesize_dummy_main,
 )
 from iccflow.ir import Branch, Call, ComponentKind, Goto, Return, StmtId
@@ -309,15 +308,6 @@ def test_instrument_does_not_mutate_the_input():
     assert app.component("Main").find_method("onActivityResult") is not None
     (link,) = _resolve(_app(SENDER), _app(RECEIVER))
     assert link.cross_app
-
-
-def test_local_links_follow_origin_apps():
-    sender, receiver = _app(SENDER), _app(RECEIVER)
-    links = _resolve(sender, receiver)
-    by_app = links_by_app(links)
-    assert local_links(combine([sender, receiver]), by_app) == links
-    assert local_links(sender, by_app) == links
-    assert local_links(receiver, by_app) == []
 
 
 # ---------------------------------------------------------------------------

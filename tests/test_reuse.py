@@ -20,7 +20,7 @@ import oracle
 from iccflow import taint
 from iccflow.combine import build_iac_graph, combine, split_graph
 from iccflow.icc import links_by_app, match_links, resolve_corpus
-from iccflow.instrument import instrument_model, local_links
+from iccflow.instrument import instrument_model
 from iccflow.parser import load_corpus, parse_app
 from iccflow.taint import (
     AnalysisReport,
@@ -70,6 +70,13 @@ def _bench():
 # ---------------------------------------------------------------------------
 
 
+def whole_window(models, by_app):
+    """A window's model instrumented whole: its apps combined, with every
+    link whose call site lies in them (links to other apps stay out)."""
+    merged = models[0] if len(models) == 1 else combine(models)
+    return instrument_model(merged, [link for m in models for link in by_app.get(m.app_id, ())])
+
+
 @lru_cache(maxsize=None)
 def _window_cfgs(corpus, max_len):
     apps = _bench() if corpus == "bench" else _mix(30, 3)
@@ -78,9 +85,7 @@ def _window_cfgs(corpus, max_len):
     by_app = links_by_app(links)
     out = []
     for window in split_graph(build_iac_graph(list(by_id), links), max_len):
-        models = [by_id[a] for a in sorted(window)]
-        merged = models[0] if len(models) == 1 else combine(models)
-        cfg = build_cfg(instrument_model(merged, local_links(merged, by_app)))
+        cfg = build_cfg(whole_window([by_id[a] for a in sorted(window)], by_app))
         out.append((cfg, propagate(cfg, CONFIG)))
     return out
 

@@ -2,6 +2,7 @@ import pytest
 
 import oracle
 import progen
+from iccflow.cli import main
 from iccflow.combine import build_iac_graph, split_graph
 from iccflow.icc import links_by_app, match_links, resolve_corpus
 from iccflow.parser import load_corpus, parse_app, serialize_app
@@ -471,6 +472,50 @@ app "A" {{
     assert [str(s) for s in rep.paths[0].stmts if s.cls == "H"] == [
         f"A/H/h{i}/b0/0" for i in range(1200)
     ]
+
+
+# g's source reaches f through a recursive call whose outer call passed no
+# taint; f hands it back, and so does every return up to onCreate.
+RECURSIVE_RETURN = """
+app "A" {
+  component activity Main {
+    filter { action "MAIN"; }
+    method onCreate(this) {
+      c = "clean"
+      x = call R.f(c)
+      sink "writeLog" x
+    }
+  }
+  class R {
+    method f(n) {
+      branch ret rec
+    ret:
+      return n
+    rec:
+      y = call R.g(n)
+      return y
+    }
+    method g(n) {
+      s = source "getDeviceId"
+      z = call R.f(s)
+      return z
+    }
+  }
+}
+"""
+
+
+def test_a_source_returned_through_recursion_is_reported(tmp_path, capsys):
+    # stated by hand: the oracle runs out of call depth on the recursion
+    rep = run(RECURSIVE_RETURN)
+    assert pairs(rep) == {("A/R/g/b0/0", "A/Main/onCreate/b0/2")}
+    stmts = rep.paths[0].stmts
+    assert str(stmts[0]) == "A/R/g/b0/0" and str(stmts[-1]) == "A/Main/onCreate/b0/2"
+    (tmp_path / "r.cir").write_text(RECURSIVE_RETURN, encoding="utf-8")
+    (tmp_path / "r.conf").write_text("source getDeviceId\nsink writeLog\n", encoding="utf-8")
+    code = main(["analyze", str(tmp_path / "r.cir"), "--config", str(tmp_path / "r.conf")])
+    assert code == 0
+    assert "A/R/g/b0/0 -> writeLog @ A/Main/onCreate/b0/2" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
