@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Check that ``iccflow analyze`` reports the same as a base checkout does.
+"""Check that ``iccflow analyze`` and ``iccflow bench`` report the same as a
+base checkout does.
 
     python3 scripts/report_identity.py --base ../iccflow-base [--head .]
 
-Runs ``python -m iccflow.cli analyze`` from each checkout's ``src`` on the
-same inputs and compares standard output, exit status, and standard error
+Runs ``python -m iccflow.cli`` from each checkout's ``src`` on the same
+inputs and compares standard output, exit status, and standard error
 without its ``[time]`` lines. The inputs are the benchmark corpora
-``dense`` and ``sparse`` (seed 1, ``--max-len 2``) and ``widen`` (seed 1,
-``--max-len 3``), built with the head's ``perfbench/workloads.py``, and
-``corpus/bench`` at ``--max-len`` 2, 3 and 4, as text and as TSV. Prints
-one line per case and exits 1 if any case differs.
+``dense`` and ``sparse`` (``--max-len 2``) and ``widen`` (``--max-len 3``),
+seeds 1 and 2, built with the head's ``perfbench/workloads.py``;
+``corpus/bench`` at ``--max-len`` 2, 3 and 4, as text and as TSV; and
+``bench corpus/bench`` as text and as TSV. Prints one line per case and
+exits 1 if any case differs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = (("dense", 2), ("sparse", 2), ("widen", 3))
-SEED = 1
+SEEDS = (1, 2)
 
 
 def _run(checkout: Path, argv: list[str]) -> tuple[int, str, str]:
@@ -36,22 +38,25 @@ def _run(checkout: Path, argv: list[str]) -> tuple[int, str, str]:
 
 
 def cases(head: Path, work: Path) -> list[tuple[str, list[str]]]:
-    """(name, analyze arguments) of every compared run; writes the corpora."""
+    """(name, command line) of every compared run; writes the corpora."""
     sys.path[:0] = [str(head / "src"), str(head / "tests"), str(head / "perfbench")]
     import workloads
 
     config = str(head / "corpus" / "sources_sinks.conf")
     out = []
-    for name, max_len in WORKLOADS:
-        corpus = work / f"{name}-{SEED}"
-        workloads.generate(name, SEED).write(corpus)
-        out.append((f"{name} seed {SEED}", [str(corpus), "--max-len", str(max_len)]))
+    for seed in SEEDS:
+        for name, max_len in WORKLOADS:
+            corpus = work / f"{name}-{seed}"
+            workloads.generate(name, seed).write(corpus)
+            out.append((f"{name} seed {seed}", ["analyze", str(corpus), "--max-len", str(max_len)]))
     bench = str(head / "corpus" / "bench")
     for max_len in (2, 3, 4):
         for fmt in ("text", "tsv"):
             out.append((f"corpus/bench max-len {max_len} {fmt}",
-                        [bench, "--max-len", str(max_len), "--format", fmt]))
-    return [(name, ["analyze", *args, "--config", config]) for name, args in out]
+                        ["analyze", bench, "--max-len", str(max_len), "--format", fmt]))
+    for fmt in ("text", "tsv"):
+        out.append((f"bench corpus/bench {fmt}", ["bench", bench, "--format", fmt]))
+    return [(name, [*args, "--config", config]) for name, args in out]
 
 
 def main() -> int:

@@ -258,10 +258,8 @@ def _apply_stmt(stmt: Stmt, env: dict, sink: "_ValueSink") -> None:
     else:
         # new_obj, field ops, sink/finish/set_result: no effect on intents
         # visible to this analysis.
-        for attr in ("dst",):
-            d = getattr(stmt, attr, None)
-            if d:
-                env[d] = AbsStr(TOP)
+        if getattr(stmt, "dst", None):
+            env[stmt.dst] = AbsStr(TOP)
 
 
 class _ValueSink:
@@ -337,19 +335,20 @@ def _entry_methods(comp: Component) -> set:
 def resolve_intent_values(app: AppModel) -> dict[StmtId, IntentValue]:
     """Abstract intent value at every ICC call statement of one app.
 
-    Two passes: the first runs every method with Top parameters and collects
-    the joined argument bindings of every call site; the second re-runs each
-    method under those bindings (one level of call depth). Framework entry
-    points (lifecycle methods, callbacks) and methods that are never called
-    keep Top parameters.
+    Two passes: the first runs every method holding a call with Top
+    parameters and collects the joined argument bindings of every call site;
+    the second re-runs each method holding an ICC call under those bindings
+    (one level of call depth). Framework entry points (lifecycle methods,
+    callbacks) and methods that are never called keep Top parameters.
     """
+    methods = [(c, m, {type(s) for b in m.blocks for s in b.stmts}) for c, m in app.iter_methods()]
     pass1 = _ValueSink()
-    for comp, method in app.iter_methods():
+    for comp, method in [(c, m) for c, m, kinds in methods if Call in kinds]:
         init = {p: AbsIntent(IntentValue.top()) for p in method.params}
         _analyze_method(method, init, pass1)
 
     pass2 = _ValueSink()
-    for comp, method in app.iter_methods():
+    for comp, method in [(c, m) for c, m, kinds in methods if IccCall in kinds]:
         init: dict[str, AbsVal] = {}
         is_entry = method.name in _entry_methods(comp)
         for i, param in enumerate(method.params):

@@ -435,11 +435,8 @@ def _stmt_uses(stmt: Stmt) -> list[str]:
 
 
 def _stmt_defs(stmt: Stmt) -> list[str]:
-    for attr in ("dst",):
-        v = getattr(stmt, attr, None)
-        if v:
-            return [v]
-    return []
+    dst = getattr(stmt, "dst", None)
+    return [dst] if dst else []
 
 
 def _is_component_method(comp: Component, method: Method) -> bool:

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .combine import _app_of, build_iac_graph, combine, split_graph
 from .icc import IccLink, links_by_app
-from .instrument import InstrumentError, instrument_model, link_window
+from .instrument import INTENT_FIELD, InstrumentError, instrument_model, link_window
 from .ir import (
     AppModel,
     Assign,
@@ -46,6 +46,8 @@ from .ir import (
     SinkCall,
     SourceCall,
     Stmt,
+    _stmt_defs,
+    _stmt_uses,
     warning,
 )
 
@@ -787,6 +789,38 @@ class _Window(NamedTuple):
     links: list[IccLink]  # links between two of its apps
 
 
+def _deaf(comp: Component) -> bool:
+    """Whether the input component never reads the intent it receives.
+
+    In each method, ``this`` is only the object of a field store or of a
+    load of a field but ``INTENT_FIELD`` (not reserved), or an argument of a
+    call with no class bound to its callee's ``this``. There is no
+    ``get_intent``, no ``return this``, and no result call unless
+    ``onActivityResult`` binds its first argument (the caller) to ``this``.
+    """
+    own = {m.name: m for m in comp.methods()}
+    back = own.get("onActivityResult")
+    far_ok = back is None or back.params[:1] in ((), ("this",))
+    for method in own.values():
+        for block in method.blocks:
+            if isinstance(block.term, Return) and block.term.var == "this":
+                return False
+            for stmt in block.stmts:
+                far = isinstance(stmt, IccCall) and stmt.kind == "start_activity_for_result"
+                if isinstance(stmt, GetIntent) or far and not far_ok:
+                    return False
+                used = _stmt_uses(stmt) + _stmt_defs(stmt)
+                if isinstance(stmt, FieldStore) or isinstance(stmt, FieldLoad) and stmt.fld != INTENT_FIELD:
+                    used.remove(stmt.obj)
+                elif isinstance(stmt, Call) and stmt.cls is None and stmt.method in own:
+                    params = own[stmt.method].params
+                    used = [a for k, a in enumerate(stmt.args) if params[k : k + 1] != ("this",)]
+                    used += _stmt_defs(stmt)
+                if "this" in used:
+                    return False
+    return True
+
+
 class _Reuse:
     """What a window need not redo: instrumentation, and source statements.
 
@@ -823,6 +857,21 @@ class _Reuse:
     the source only if the recording window did. So the source finds no
     pair the recording window did not report. Nothing is scanned or
     recorded when no app lies in two windows.
+
+    A *harmless* cross-app link, not a result link and into a *deaf*
+    component ``C`` (``_deaf``), does not link its site out. Its redirect
+    runs ``t = new_obj C; C.ctor(t, i); C.dummyMain(t)``, which writes no
+    ``i``, and facts do not alias, so the caller's facts after the site are
+    those of an opaque site. In ``C`` the caller's taint lies only on the
+    component object, under the first selector ``("f", INTENT_FIELD)``,
+    which ``_truncate`` keeps, and ``dummyMain`` binds the object by the
+    name ``this``. Such facts reach nothing unless ``C`` reads that field or
+    lets ``this`` reach a sink, an intent, another object's field, a return
+    value or another class, which a deaf ``C`` does not. Nor do its
+    synthetic parts: the setters store into ``this``, ``getIntentFAR``
+    loads another field, ``getIntent`` runs only at a ``get_intent``, and a
+    non-result redirect is not passed ``this``. So the source finds no pair
+    in ``C``, and in its own app what the recording window found.
     """
 
     def __init__(
@@ -846,12 +895,14 @@ class _Reuse:
         self.calls_out: dict[str, list[tuple[StmtId, str]]] = {}
         self.sources: dict[str, list[StmtId]] = {}
         self.records: dict[str, dict[StmtId, list[tuple[frozenset, frozenset]]]] = {}
+        self.deaf: set[str] = set()
         if any(n > 1 for n in self.left.values()):
             for app in apps:
                 self._scan(app)
 
     def _scan(self, app: AppModel) -> None:
         nodes = self.boundary[app.app_id] = {}
+        self.deaf.update(c.qualified_name for c in app.components if _deaf(c))
         calls = self.calls_out[app.app_id] = []
         sources = self.sources[app.app_id] = []
         for comp in app.components:
@@ -892,11 +943,12 @@ class _Reuse:
             for target in app_ids:
                 for link in self.cross.get((caller, target), ()):
                     links.append(link)
-                    out.add(link.from_stmt)
                     entries[target].add((link.to, link.kind))
                     if link.kind == "start_activity_for_result":
-                        out.add(link.to)
+                        out.update((link.from_stmt, link.to))
                         entries[caller].add((link.from_stmt, "result"))
+                    elif link.to not in self.deaf:  # else harmless
+                        out.add(link.from_stmt)
         frozen = {a: frozenset(e) for a, e in entries.items()}
         skip = frozenset(
             source
@@ -1002,9 +1054,11 @@ def analyze(
     only the links between its apps: its model is the one instrumenting the
     window whole builds, up to the names of synthetic statements. A window
     does not tabulate a source statement again when an earlier window covers
-    it: skipping a source leaves every other source's tabulation, and so its
-    witness paths, as it was (see ``propagate``), and each pair the skipped
-    source would find here, the recording window found and reported.
+    it, also where its taint meets only *harmless* links to other apps: not
+    for a result, into a *deaf* component, one that never reads the intent
+    it receives. Skipping a source leaves every other source's tabulation,
+    and so its witness paths, as it was (see ``propagate``), and each pair
+    the skipped source would find here, the recording window reported.
     """
     report = AnalysisReport()
     graph = build_iac_graph([a.app_id for a in apps], links)

@@ -6,13 +6,19 @@ import pytest
 from iccflow.icc import (
     TOP,
     UNSET,
+    AbsIntent,
     IccLink,
     IntentValue,
     LinkResult,
+    _analyze_method,
+    _entry_methods,
     _filter_matches,
+    _join_vals,
+    _ValueSink,
     join_sets,
     match_links,
     resolve_corpus,
+    resolve_intent_values,
 )
 from iccflow.ir import ICC_KINDS, PROVIDER_ICC_KINDS, IccCall, StmtId, warning
 from iccflow.parser import load_corpus, parse_app
@@ -573,3 +579,77 @@ app "I" {
         ("onPick", "send", 1, "start_activity", "H/Both", False),
         ("onPick", "send", 1, "start_activity", "I/Far", False),
     }
+
+
+# ---------------------------------------------------------------------------
+# Intent value resolution against the two passes over every method
+# ---------------------------------------------------------------------------
+
+
+def _reference_resolve(app):
+    """The resolver before it ran only the methods each pass reads: the first
+    pass runs every method, the second every method again."""
+    pass1 = _ValueSink()
+    for comp, method in app.iter_methods():
+        _analyze_method(method, {p: AbsIntent(IntentValue.top()) for p in method.params}, pass1)
+    pass2 = _ValueSink()
+    for comp, method in app.iter_methods():
+        init = {}
+        is_entry = method.name in _entry_methods(comp)
+        for i, param in enumerate(method.params):
+            bound = None
+            for cls_key in (comp.name, comp.qualified_name, None):
+                b = pass1.arg_bindings.get((cls_key, method.name, i))
+                if b is not None:
+                    bound = b if bound is None else _join_vals(bound, b)
+            init[param] = AbsIntent(IntentValue.top()) if is_entry or bound is None else bound
+        _analyze_method(method, init, pass2)
+    values = dict(pass2.icc_values)
+    for _c, _m, _b, stmt in app.iter_stmts():
+        if isinstance(stmt, IccCall) and stmt.sid not in values:
+            values[stmt.sid] = IntentValue.top()
+    return values
+
+
+CALLER_BINDS = """
+app "R" {
+  component activity Main {
+    filter { action "M"; }
+    method onCreate(this) {
+      i = new_intent
+      set_action i "GO"
+      call fire(this, i)
+    }
+    method fire(this, k) {
+      icc start_activity k
+      n = new_intent
+      icc start_service n
+    }
+    callback onTap(this) {
+      c = "idle"
+    }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("corpus", ["caller_binds", "bench", "prefixed", "shared"])
+def test_resolution_matches_the_two_full_passes(monkeypatch, bench_root, corpus):
+    # "caller_binds": the call that binds an intent lies in a method with no ICC
+    # site; "prefixed": twelve progen corpora kept apart; "shared": twelve
+    # progen corpora and two bench copies whose strings are shared
+    if corpus == "caller_binds":
+        apps = [_app(CALLER_BINDS)]
+    elif corpus == "bench":
+        apps, diags = load_corpus([str(bench_root)])
+        assert diags == []
+    else:
+        shape = workloads.Shape(progen=12, bench=2 * (corpus == "shared"), shared=corpus == "shared", max_len=2)
+        monkeypatch.setitem(workloads.SHAPES, "tiny", shape)
+        apps = [_app(text) for text in workloads.generate("tiny", 3).files().values()]
+    helped = 0
+    for app in apps:
+        got, want = resolve_intent_values(app), _reference_resolve(app)
+        assert list(got.items()) == list(want.items()), app.app_id
+        helped += any(v != IntentValue.top() for v in got.values())
+    assert helped > 0

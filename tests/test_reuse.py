@@ -4,7 +4,8 @@
 already covers it. These tests check the two facts that make the skip leave
 every report unchanged: suppressing sources leaves every other source's
 tabulation as it was, and a skipped source finds nothing an earlier window
-did not already report.
+did not already report, also where its taint went into a deaf component of
+another app, one that never reads the intent it receives.
 """
 
 import random
@@ -21,6 +22,7 @@ from iccflow import taint
 from iccflow.combine import build_iac_graph, combine, split_graph
 from iccflow.icc import links_by_app, match_links, resolve_corpus
 from iccflow.instrument import instrument_model
+from iccflow.ir import IccCall, SetResult
 from iccflow.parser import load_corpus, parse_app
 from iccflow.taint import (
     AnalysisReport,
@@ -122,7 +124,7 @@ def test_a_suppressed_source_generates_nothing():
 def _check_against_full_merge(monkeypatch, apps, max_len):
     """``analyze`` reports what running every window in full, in order, first
     window wins, reports; every pair a skipped source finds in full was
-    reported by an earlier window. Returns the number of skipped sources."""
+    reported by an earlier window. Returns each window's skipped sources."""
     links = match_links(resolve_corpus(apps), apps).links
     windows, skips = [], []
     real_set, real_propagate = taint._analyze_set, taint.propagate
@@ -157,7 +159,7 @@ def _check_against_full_merge(monkeypatch, apps, max_len):
     assert render_report(got, "tsv") == render_report(want, "tsv")
     assert render_report(got, "text") == render_report(want, "text")
     assert got.diagnostics == want.diagnostics
-    return sum(len(s) for s in skips)
+    return skips
 
 
 @pytest.mark.parametrize("max_len", [2, 3, 4])
@@ -172,7 +174,13 @@ def test_bench_report_matches_a_full_merge(monkeypatch, max_len):
 def test_shared_mix_report_matches_a_full_merge(monkeypatch, progen_n, seed, max_len, fanout):
     apps = _mix(progen_n, seed, fanout)
     assert any("_SA4" in a.app_id for a in apps) == fanout
-    assert _check_against_full_merge(monkeypatch, apps, max_len) > 0
+    skips = _check_against_full_merge(monkeypatch, apps, max_len)
+    # the same with no component deaf: every link takes taint out of its app
+    with monkeypatch.context() as m:
+        m.setattr(taint, "_deaf", lambda comp: False)
+        linked_out = _check_against_full_merge(monkeypatch, apps, max_len)
+    assert sum(map(len, linked_out)) > 0
+    assert sum(len(a - b) for a, b in zip(skips, linked_out)) > 0  # harmless links
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +393,203 @@ def test_a_later_window_that_differs_reports_the_pair(monkeypatch, case):
     assert report.sets == [("A", "M"), ("A", "Z")]
     assert (source, sink) in {(str(p.source), str(p.sink)) for p in report.paths}
     _check_against_full_merge(monkeypatch, apps, 2)
+
+
+# ---------------------------------------------------------------------------
+# harmless links: a target that never reads its intent keeps the taint in
+# ---------------------------------------------------------------------------
+#
+# A's source rides an intent into M's Quiet first: Quiet is deaf, so window
+# (A, M) records the source. Z's Loud, which the same site starts, reads the
+# intent in one way each, so window (A, Z) must tabulate the source again.
+
+SENDER = """
+app "A" {
+  component activity Main {
+    filter { action "MAIN"; }
+    method onCreate(this) {
+      x = source "getDeviceId"
+      i = new_intent
+      set_action i "com.x.GO"
+      put_extra i "k" x
+      icc start_activity i
+    }
+  }
+}
+"""
+
+QUIET = """
+app "%s" {
+  component activity Quiet {
+    filter { action "com.x.GO"; }
+    method onCreate(this) {
+      c = "calm"
+      this.g = c
+      call hush(this)
+    }
+    method hush(this) {
+      d = this.g
+    }
+  }
+}
+"""
+
+LOUD = """
+app "Z" {
+  component activity Loud {
+    filter { action "com.x.GO"; }
+%s  }
+%s}
+"""
+
+READS = {
+    "get_intent": (
+        """    method onCreate(this) {
+      j = get_intent
+      v = get_extra j "k"
+      sink "writeLog" v
+    }
+""", "", "Z/Loud/onCreate/b0/2"),
+    "sink_this": (
+        """    method onCreate(this) {
+      sink "writeLog" this
+    }
+""", "", "Z/Loud/onCreate/b0/0"),
+    # Loud's own leak would be harmless; Util's is not
+    "other_class": (
+        """    method onCreate(this) {
+      call Util.leak(this)
+    }
+    method leak(this) {
+      d = this.g
+    }
+""", """  class Util {
+    method leak(o) {
+      sink "writeLog" o
+    }
+  }
+""", "Z/Util/leak/b0/0"),
+    "callee_renames_this": (
+        """    method onCreate(this) {
+      call leak(this)
+    }
+    method leak(o) {
+      sink "writeLog" o
+    }
+""", "", "Z/Loud/leak/b0/0"),
+    "return_this": (
+        """    method onCreate(this) {
+      o = call me(this)
+      sink "writeLog" o
+    }
+    method me(this) {
+      return this
+    }
+""", "", "Z/Loud/onCreate/b0/1"),
+    "intent_field": (
+        """    method onCreate(this) {
+      j = this.intent_for_ipc
+      v = get_extra j "k"
+      sink "writeLog" v
+    }
+""", "", "Z/Loud/onCreate/b0/2"),
+    "stored_this": (
+        """    method onCreate(this) {
+      this.g = this
+      o = this.g
+      v = get_extra o "k"
+      sink "writeLog" v
+    }
+""", "", "Z/Loud/onCreate/b0/3"),
+    "this_not_first": (
+        """    method onCreate(u, this) {
+      sink "writeLog" this
+    }
+""", "", "Z/Loud/onCreate/b0/0"),
+    # Loud's own result call hands Loud to its callback's first parameter
+    "far_callback": (
+        """    method onCreate(this) {
+      j = new_intent
+      set_action j "com.z.BACK"
+      icc start_activity_for_result j
+    }
+    method onActivityResult(r, this) {
+      sink "writeLog" r
+    }
+""", """  component activity Back {
+    filter { action "com.z.BACK"; }
+  }
+""", "Z/Loud/onActivityResult/b0/0"),
+}
+
+
+def _reads(case):
+    if case == "result_link":
+        # M's Asked is deaf, but a result link runs A's callback, which an
+        # unlinked site does not: see the callback_kill triple
+        return TRIPLES["callback_kill"]
+    methods, classes, sink = READS[case]
+    return [SENDER, QUIET % "M", LOUD % (methods, classes)], ("A/Main/onCreate/b0/0", sink)
+
+
+@pytest.mark.parametrize("case", sorted(READS) + ["result_link"])
+def test_a_target_that_reads_the_intent_keeps_the_source_live(monkeypatch, case):
+    texts, (source, sink) = _reads(case)
+    apps = [parse_app(text).app for text in texts]
+    deaf = {c.qualified_name for a in apps for c in a.components if taint._deaf(c)}
+    assert ("M/Asked" if case == "result_link" else "M/Quiet") in deaf
+    assert "Z/Loud" not in deaf
+    links = match_links(resolve_corpus(apps), apps).links
+    report = analyze(apps, links, CONFIG, 2)
+    assert report.sets == [("A", "M"), ("A", "Z")]
+    assert (source, sink) in {(str(p.source), str(p.sink)) for p in report.paths}
+    assert _check_against_full_merge(monkeypatch, apps, 2) == [frozenset(), frozenset()]
+
+
+def test_a_source_that_meets_only_deaf_targets_is_skipped(monkeypatch):
+    apps = [parse_app(text).app for text in (SENDER, QUIET % "M", QUIET % "Z")]
+    assert all(taint._deaf(c) for c in apps[1].components + apps[2].components)
+    skips = _check_against_full_merge(monkeypatch, apps, 2)
+    assert [sorted(map(str, s)) for s in skips] == [[], ["A/Main/onCreate/b0/0"]]
+
+
+def _far_reaching(cfg, res, comp):
+    """The facts from another app than ``comp``'s that reach, in ``comp``, a
+    sink hit, a ``set_result``, an ICC site, a redirect call or a call into
+    another class, as (statement, fact). A result redirect's ``caller`` is
+    left out: it carries the component into its own callback."""
+    mine = (comp.origin_app, comp.name)
+    out = [(h.sink, h.fact) for h in res.hits
+           if (h.sink.app, h.sink.cls) == mine and h.fact.origin.app != comp.origin_app]
+    for node, fact in res.preds:
+        if node[0] != "stmt" or (node[1].app, node[1].cls) != mine or fact.origin.app == comp.origin_app:
+            continue
+        sid, stmt = node[1], cfg.stmts[node[1]]
+        info = cfg.calls.get(sid)
+        if info is not None and info.callee[:2] != mine:
+            reaches = any(a == fact.base and p != "caller" for a, p in zip(info.args, info.params))
+        else:
+            reaches = isinstance(stmt, (SetResult, IccCall)) and fact.base == stmt.intent
+        if reaches:
+            out.append((sid, fact))
+    return out
+
+
+@pytest.mark.parametrize("corpus, max_len", [("bench", 2), ("bench", 3), ("bench", 4), ("mix", 2), ("mix", 3)])
+def test_no_taint_from_another_app_gets_out_of_a_deaf_component(corpus, max_len):
+    windows = _window_cfgs(corpus, max_len)
+    apps = _bench() if corpus == "bench" else _mix(30, 3)
+    deaf = [c for a in apps for c in a.components if c.kind.is_component and taint._deaf(c)]
+    assert deaf
+    entered = 0  # deaf components that taint from another app enters
+    for cfg, res in windows:
+        present = {(c.origin_app, c.name) for c in cfg.model.components}
+        foreign = {n[1][:2] for n, d in res.preds if n[0] == "entry" and d.origin.app != n[1][0]}
+        for comp in deaf:
+            if (comp.origin_app, comp.name) in present:
+                assert _far_reaching(cfg, res, comp) == []
+                entered += (comp.origin_app, comp.name) in foreign
+    assert entered > 0
 
 
 # ---------------------------------------------------------------------------
