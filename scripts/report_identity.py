@@ -9,9 +9,10 @@ inputs and compares standard output, exit status, and standard error
 without its ``[time]`` lines. The inputs are the benchmark corpora
 ``dense`` and ``sparse`` (``--max-len 2``) and ``widen`` (``--max-len 3``),
 seeds 1 and 2, built with the head's ``perfbench/workloads.py``;
-``corpus/bench`` at ``--max-len`` 2, 3 and 4, as text and as TSV; and
-``bench corpus/bench`` as text and as TSV. Prints one line per case and
-exits 1 if any case differs.
+``corpus/bench`` at ``--max-len`` 2, 3 and 4, as text and as TSV;
+``corpus/warnings``, whose analysis warns of unknown callees, at
+``--max-len`` 2 and 3; and ``bench corpus/bench`` as text and as TSV.
+Prints one line per case and exits 1 if any case differs.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ def cases(head: Path, work: Path) -> list[tuple[str, list[str]]]:
         for fmt in ("text", "tsv"):
             out.append((f"corpus/bench max-len {max_len} {fmt}",
                         ["analyze", bench, "--max-len", str(max_len), "--format", fmt]))
+    warnings = str(head / "corpus" / "warnings")
+    for max_len in (2, 3):
+        out.append((f"corpus/warnings max-len {max_len}",
+                    ["analyze", warnings, "--max-len", str(max_len)]))
     for fmt in ("text", "tsv"):
         out.append((f"bench corpus/bench {fmt}", ["bench", bench, "--format", fmt]))
     return [(name, [*args, "--config", config]) for name, args in out]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Container, Iterable, NamedTuple, Optional
 
 from .combine import _app_of, build_iac_graph, combine, split_graph
 from .icc import IccLink, links_by_app
@@ -116,6 +116,8 @@ class CallInfo:
 
 @dataclass
 class Cfg:
+    """``succ`` and ``retvar`` hold the methods ``build_cfg`` laid out."""
+
     model: AppModel
     succ: dict[Node, list[tuple[Node, str]]] = field(default_factory=dict)
     roots: list[Node] = field(default_factory=list)
@@ -141,10 +143,9 @@ def _effective_term(method: Method, idx: int):
 class _MethodShape:
     """Per-method node layout with empty-block elision."""
 
-    def __init__(self, comp: Component, method: Method):
-        self.comp = comp
+    def __init__(self, mk: MethodKey, method: Method):
         self.method = method
-        self.mk: MethodKey = (comp.origin_app, comp.name, method.name)
+        self.mk = mk
         self.index = {b.label: i for i, b in enumerate(method.blocks)}
         self._first: dict[str, list[Node]] = {}
 
@@ -275,13 +276,23 @@ def _call_info_for(
     return None
 
 
-def build_cfg(model: AppModel) -> Cfg:
+def build_cfg(
+    model: AppModel, config: Optional[SourceSinkConfig] = None, skip: frozenset[StmtId] = frozenset()
+) -> Cfg:
     """Per-method flow graphs plus the call wiring of each call statement.
 
     Roots are the dummyMain entries of startable components (components whose
     ``rooted`` flag is set, or that declare a filter when the flag is unset)
-    plus any method literally named ``main``. Unreachable methods keep their
-    nodes but are never rooted.
+    plus any method literally named ``main``.
+
+    Every statement is resolved, in method order, into ``stmts``, ``calls``
+    and the diagnostics. With a ``config``, only the methods that calls reach
+    from a root in ``_live`` (``skip`` holds dead sources) are laid out, else
+    all. ``propagate`` with that config and skip enters a method only at a
+    root it seeds, which lies in ``_live``, or from a call in a method it
+    entered, so each node it reaches keeps its successors, and a call's
+    edges leave its ``ret`` node as the complete ``calls`` says. Of two
+    methods under one key (classes ``from`` one origin app), only the last counts.
     """
     cfg = Cfg(model=model)
     by_name: dict[str, list[Component]] = {}
@@ -290,15 +301,41 @@ def build_cfg(model: AppModel) -> Cfg:
         by_name.setdefault(comp.name, []).append(comp)
         by_qualified[comp.qualified_name] = comp
 
-    shapes: dict[MethodKey, _MethodShape] = {}
+    methods: dict[MethodKey, tuple[Component, Method]] = {}
     for comp in model.components:
         for method in comp.methods():
-            shape = _MethodShape(comp, method)
-            shapes[shape.mk] = shape
+            methods[(comp.origin_app, comp.name, method.name)] = (comp, method)
 
-    # intra-method edges first, then call wiring
-    for shape in shapes.values():
-        mk, method, comp = shape.mk, shape.method, shape.comp
+    # call wiring first, then the intra-method edges of the methods in scope
+    callees: dict[MethodKey, list[MethodKey]] = {}
+    for mk, (comp, method) in methods.items():
+        for block in method.blocks:
+            for stmt in block.stmts:
+                cfg.stmts[stmt.sid] = stmt
+                info = _call_info_for(cfg, comp, stmt, by_name, by_qualified)
+                if info is not None:
+                    cfg.calls[stmt.sid] = info
+                    callees.setdefault(mk, []).append(info.callee)
+
+    for comp in model.components:
+        rooted = comp.rooted if comp.rooted is not None else bool(comp.filters)
+        if rooted and comp.kind.is_component:
+            dm = comp.find_method("dummyMain")
+            if dm is not None:
+                cfg.roots.append(("entry", (comp.origin_app, comp.name, dm.name)))
+        for method in comp.methods():
+            if method.name == "main":
+                cfg.roots.append(("entry", (comp.origin_app, comp.name, method.name)))
+
+    scope: Container[MethodKey] = methods
+    if config is not None:
+        live = _live(cfg, config.sources, skip)
+        scope = _closure([root[1] for root in cfg.roots if root[1] in live], callees)
+
+    for mk, (comp, method) in methods.items():
+        if mk not in scope:
+            continue
+        shape = _MethodShape(mk, method)
         entry: Node = ("entry", mk)
         exit_: Node = ("exit", mk)
         cfg.succ.setdefault(entry, [])
@@ -313,32 +350,38 @@ def build_cfg(model: AppModel) -> Cfg:
                 cfg.retvar[(mk, block.label)] = term.var
                 cfg.add_edge(rv, exit_)
             nodes = [("stmt", s.sid) for s in block.stmts]
-            for s in block.stmts:
-                cfg.stmts[s.sid] = s
             targets = shape.term_targets(i)
             for j, n in enumerate(nodes):
-                stmt = block.stmts[j]
-                info = _call_info_for(cfg, comp, stmt, by_name, by_qualified)
-                nxt = nodes[j + 1 : j + 2] or targets
-                if info is not None:
-                    cfg.calls[stmt.sid] = info
-                    ret: Node = ("ret", stmt.sid)
-                    for m in nxt:
-                        cfg.add_edge(ret, m)
-                else:
-                    for m in nxt:
-                        cfg.add_edge(n, m)
-
-    for comp in model.components:
-        rooted = comp.rooted if comp.rooted is not None else bool(comp.filters)
-        if rooted and comp.kind.is_component:
-            dm = comp.find_method("dummyMain")
-            if dm is not None:
-                cfg.roots.append(("entry", (comp.origin_app, comp.name, dm.name)))
-        for method in comp.methods():
-            if method.name == "main":
-                cfg.roots.append(("entry", (comp.origin_app, comp.name, method.name)))
+                # a call's edges leave its return site
+                tail = ("ret", n[1]) if n[1] in cfg.calls else n
+                for m in nodes[j + 1 : j + 2] or targets:
+                    cfg.add_edge(tail, m)
     return cfg
+
+
+def _closure(todo: list[MethodKey], edges: dict[MethodKey, list[MethodKey]]) -> set[MethodKey]:
+    """The methods in ``todo`` and those its ``edges`` lead to."""
+    out: set[MethodKey] = set()
+    while todo:
+        mk = todo.pop()
+        if mk not in out:
+            out.add(mk)
+            todo += edges.get(mk, ())
+    return out
+
+
+def _live(cfg: Cfg, sources: frozenset[str], skip: frozenset[StmtId]) -> set[MethodKey]:
+    """Methods from whose entry a live source (configured, not in ``skip``)
+    can be reached through calls; a statement id names its method."""
+    todo = [
+        sid.method_key
+        for sid, stmt in cfg.stmts.items()
+        if type(stmt) is SourceCall and stmt.source in sources and sid not in skip
+    ]
+    callers: dict[MethodKey, list[MethodKey]] = {}
+    for sid, info in cfg.calls.items() if todo else ():
+        callers.setdefault(info.callee, []).append(sid.method_key)
+    return _closure(todo, callers)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +540,7 @@ def propagate(
     no sink. They write no ``preds`` record and no hit, and a ``ZERO`` exit
     maps back to nothing, so no summary leaves a callee they would enter.
     So every remaining item keeps its FIFO position and its first ``preds``
-    record.
+    record, in the methods ``build_cfg`` lays out for this config and skip.
     """
     result = TaintResult()
     preds = result.preds
@@ -505,22 +548,7 @@ def propagate(
     stmts, calls, succ, retvar = cfg.stmts, cfg.calls, cfg.succ, cfg.retvar
     sources, sinks = config.sources, config.sinks
 
-    # methods from whose entry a live source can be reached; a statement id
-    # names its method
-    callers: dict[MethodKey, list[MethodKey]] = {}
-    for sid, info in calls.items():
-        callers.setdefault(info.callee, []).append(sid.method_key)
-    todo = [
-        sid.method_key
-        for sid, stmt in stmts.items()
-        if type(stmt) is SourceCall and stmt.source in sources and sid not in skip
-    ]
-    live: set[MethodKey] = set()
-    while todo:
-        mk = todo.pop()
-        if mk not in live:
-            live.add(mk)
-            todo += callers.get(mk, ())
+    live = _live(cfg, sources, skip)
 
     path_edges: set[tuple] = set()
     work: deque[tuple] = deque()
@@ -1027,7 +1055,7 @@ def _analyze_set(
         inst = reuse.instrument(window, by_id)
     except InstrumentError as exc:
         return [], [Diagnostic("error", str(exc))], time.perf_counter() - started
-    cfg = build_cfg(inst)
+    cfg = build_cfg(inst, config, window.skip)
     res = propagate(cfg, config, window.skip)
     reuse.record(window, res.preds, inst.sites)
     paths = extract_paths(res, cfg)

@@ -24,8 +24,9 @@ from test_reuse import CONFIG, _bench, _mix, whole_window
 
 
 def _windows(apps, max_len):
-    """Each window ``analyze`` runs, with the CFG it built there, and the
-    number of windows built from parts."""
+    """Each window ``analyze`` runs, with the CFG of its model laid out in
+    full, and the number of windows built from parts. ``analyze`` itself
+    gets the CFG scoped to the window's live sources."""
     links = match_links(resolve_corpus(apps), apps).links
     out = []
     overlays = []
@@ -35,10 +36,9 @@ def _windows(apps, max_len):
         out.append([app_ids])
         return real_set(app_ids, *args)
 
-    def cfg_of(model):
-        cfg = real_cfg(model)
-        out[-1].append(cfg)
-        return cfg
+    def cfg_of(model, *args):
+        out[-1].append(real_cfg(model))
+        return real_cfg(model, *args)
 
     def link_window_(*args):
         overlays.append(args)
