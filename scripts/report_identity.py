@@ -12,7 +12,11 @@ seeds 1 and 2, built with the head's ``perfbench/workloads.py``;
 ``corpus/bench`` at ``--max-len`` 2, 3 and 4, as text and as TSV;
 ``corpus/warnings``, whose analysis warns of unknown callees, at
 ``--max-len`` 2 and 3; and ``bench corpus/bench`` as text and as TSV.
-Prints one line per case and exits 1 if any case differs.
+Reports show only a path's length, so it also compares every path's full
+statement list, printed by ``WITNESSES`` in-process against each
+checkout's ``src``, on ``dense``, ``sparse`` and ``widen`` seed 1 and on
+``corpus/bench`` at ``--max-len 3``. Prints one line per case and exits 1
+if any case differs.
 """
 
 from __future__ import annotations
@@ -27,11 +31,24 @@ from pathlib import Path
 WORKLOADS = (("dense", 2), ("sparse", 2), ("widen", 3))
 SEEDS = (1, 2)
 
+# argv: corpus directory, --max-len, config; one line per path, in report order
+WITNESSES = """
+import sys
+from iccflow.icc import match_links, resolve_corpus
+from iccflow.parser import corpus_files, load_corpus
+from iccflow.taint import analyze, load_config
+corpus, max_len, config = sys.argv[1:]
+apps, _ = load_corpus(corpus_files(corpus))
+links = match_links(resolve_corpus(apps), apps).links
+for p in analyze(apps, links, load_config(config), int(max_len)).paths:
+    print(p.source, p.sink, *p.stmts)
+"""
+
 
 def _run(checkout: Path, argv: list[str]) -> tuple[int, str, str]:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "iccflow.cli", *argv],
+        [sys.executable, *argv],
         cwd=checkout, env=env, capture_output=True, text=True, timeout=600,
     )
     err = "".join(line for line in proc.stderr.splitlines(True) if not line.startswith("[time]"))
@@ -39,18 +56,21 @@ def _run(checkout: Path, argv: list[str]) -> tuple[int, str, str]:
 
 
 def cases(head: Path, work: Path) -> list[tuple[str, list[str]]]:
-    """(name, command line) of every compared run; writes the corpora."""
+    """(name, Python arguments) of every compared run; writes the corpora."""
     sys.path[:0] = [str(head / "src"), str(head / "tests"), str(head / "perfbench")]
     import workloads
 
     config = str(head / "corpus" / "sources_sinks.conf")
-    out = []
+    out, witnesses = [], []
     for seed in SEEDS:
         for name, max_len in WORKLOADS:
             corpus = work / f"{name}-{seed}"
             workloads.generate(name, seed).write(corpus)
             out.append((f"{name} seed {seed}", ["analyze", str(corpus), "--max-len", str(max_len)]))
+            if seed == 1:
+                witnesses.append((f"{name} seed {seed} witnesses", [str(corpus), str(max_len)]))
     bench = str(head / "corpus" / "bench")
+    witnesses.append(("corpus/bench max-len 3 witnesses", [bench, "3"]))
     for max_len in (2, 3, 4):
         for fmt in ("text", "tsv"):
             out.append((f"corpus/bench max-len {max_len} {fmt}",
@@ -61,7 +81,9 @@ def cases(head: Path, work: Path) -> list[tuple[str, list[str]]]:
                     ["analyze", warnings, "--max-len", str(max_len)]))
     for fmt in ("text", "tsv"):
         out.append((f"bench corpus/bench {fmt}", ["bench", bench, "--format", fmt]))
-    return [(name, [*args, "--config", config]) for name, args in out]
+    return [(name, ["-m", "iccflow.cli", *args, "--config", config]) for name, args in out] + [
+        (name, ["-c", WITNESSES, *args, config]) for name, args in witnesses
+    ]
 
 
 def main() -> int:

@@ -41,6 +41,7 @@ def _load_models(paths: list[str]) -> list[AppModel]:
     files = sorted(dict.fromkeys(files))
     apps, diags = load_corpus(files)
     seen: dict[str, str] = {}
+    owner: dict[str, str] = {}  # qualified class name -> the app declaring it
     unique: list[AppModel] = []
     for app in apps:
         if app.app_id in seen:
@@ -51,9 +52,14 @@ def _load_models(paths: list[str]) -> list[AppModel]:
                     app.source_path,
                 )
             )
-        else:
-            seen[app.app_id] = app.source_path or "<input>"
-            unique.append(app)
+            continue
+        seen[app.app_id] = app.source_path or "<input>"
+        unique.append(app)
+        for comp in app.components:
+            first = owner.setdefault(comp.qualified_name, app.app_id)
+            if first != app.app_id:
+                msg = f"class {comp.qualified_name!r} declared by apps {first!r} and {app.app_id!r}"
+                diags.append(error(msg, app.source_path))
     _print_diags(diags)
     if any(d.severity == "error" for d in diags):
         raise _Failed

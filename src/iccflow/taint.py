@@ -7,9 +7,10 @@ caller's fact is reused at every other call site with the same fact — never
 merged across distinct entry facts. That per-entry-fact reuse is what keeps
 two components sharing a helper from contaminating each other.
 
-Facts carry their originating source statement, and every tabulation step
-records a predecessor, so each reported (origin, sink) pair comes with a
-reconstructed witness path of CFG-connected statements.
+Facts carry their originating source statement, and every path edge
+records the edge it came from, so each reported (origin, sink) pair comes
+with a witness: CFG-connected statements whose calls return where they
+were made.
 """
 
 from __future__ import annotations
@@ -483,14 +484,19 @@ def _stmt_flow(stmt: Stmt, f: Fact) -> list[Fact]:
 
 @dataclass
 class SinkHit:
+    """A tainted fact at a configured sink, with the path edge it lies on."""
+
     fact: Fact
     sink: StmtId
-    node: Node
+    edge: tuple
     sink_name: str
 
 
 @dataclass
 class TaintResult:
+    """``preds`` maps each path edge (method, entry fact, node, fact) to its
+    record (see ``propagate``), in the order the edges arose."""
+
     hits: list[SinkHit] = field(default_factory=list)
     preds: dict = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
@@ -523,24 +529,34 @@ def propagate(
 ) -> TaintResult:
     """Worklist tabulation with per-entry-fact procedure summaries.
 
+    ``preds`` maps each path edge ``(method, entry fact, node, fact)`` to
+    its record, and a key missing from it marks a new edge. A record is
+    ``None`` for a ``ZERO`` edge, else ``("flow", edge before)``, ``("xfer",
+    caller's call edge)`` at an entry, ``("summary", caller's call edge,
+    callee's exit edge)`` at a return site, or ``("gen", the ZERO edge at
+    the source)``. Records are written in the FIFO order of each edge's
+    first insertion, as when they were keyed by (node, fact), so where a
+    (node, fact) arises in one context only, witnesses take the records
+    they took then, and reports do not move.
+
     The source statements in ``skip`` generate no facts. That leaves every
     other source's tabulation as it was, step for step. Each work item
     carries one origin: its entry fact ``d1`` is ``ZERO`` or has the origin
     of its fact ``d2``. An item of one origin yields only items of that
     origin, and a ``ZERO`` item yields the same items of the other origins
     whether or not a skipped origin's facts exist. So the items that remain
-    keep their FIFO order, each of their facts keeps its first ``preds``
-    record, and their sink hits keep their order.
+    keep their FIFO order, each of their edges keeps its record, and their
+    sink hits keep their order.
 
     ``ZERO`` does one job: at a live source (configured, not skipped) it
     generates a fact. So it is seeded only at roots, and passed only into
     callees, from whose entry a live source can be reached through calls.
     That leaves the result exact. The items left out are ``ZERO`` items,
     and they yield only further such items: they reach no live source and
-    no sink. They write no ``preds`` record and no hit, and a ``ZERO`` exit
+    no sink. They write only ``None`` records and no hit, and a ``ZERO`` exit
     maps back to nothing, so no summary leaves a callee they would enter.
-    So every remaining item keeps its FIFO position and its first ``preds``
-    record, in the methods ``build_cfg`` lays out for this config and skip.
+    So every remaining item keeps its FIFO position and its record, in the
+    methods ``build_cfg`` lays out for this config and skip.
     """
     result = TaintResult()
     preds = result.preds
@@ -550,38 +566,30 @@ def propagate(
 
     live = _live(cfg, sources, skip)
 
-    path_edges: set[tuple] = set()
     work: deque[tuple] = deque()
     push = work.append
-    end_summary: dict[tuple, dict[Fact, None]] = {}
-    incoming: dict[tuple, list[tuple]] = {}
+    end_summary: dict[tuple, list[tuple]] = {}  # (callee, entry fact) -> exit edges
+    incoming: dict[tuple, list[tuple]] = {}  # (callee, entry fact) -> call edges
 
     for root in cfg.roots:
         key = (root[1], ZERO, root, ZERO)
-        if root[1] in live and key not in path_edges:
-            path_edges.add(key)
+        if root[1] in live and key not in preds:
+            preds[key] = None
             push(key)
 
-    def apply_summary(
-        caller_mk: MethodKey,
-        caller_d1: Fact,
-        call_node: Node,
-        d_at_call: Fact,
-        info: CallInfo,
-        exit_node: Node,
-        d_exit: Fact,
-    ) -> None:
-        ret_node: Node = ("ret", call_node[1])
-        pred = ("summary", call_node, d_at_call, exit_node, d_exit)
-        for dr in _map_back(d_exit, info):
-            key = (caller_mk, caller_d1, ret_node, dr)
-            if key not in path_edges:
-                path_edges.add(key)
-                preds.setdefault((ret_node, dr), pred)
+    def apply_summary(call: tuple, exit_: tuple) -> None:
+        mk, d1, n, _ = call
+        ret_node: Node = ("ret", n[1])
+        rec = ("summary", call, exit_)
+        for dr in _map_back(exit_[3], calls[n[1]]):
+            key = (mk, d1, ret_node, dr)
+            if key not in preds:
+                preds[key] = rec
                 push(key)
 
     while work:
-        mk, d1, n, d2 = work.popleft()
+        edge = work.popleft()
+        mk, d1, n, d2 = edge
         kind = n[0]
 
         if kind == "stmt":
@@ -594,46 +602,31 @@ def propagate(
                 else:
                     mapped = _map_into(d2, info)
                 for dp in mapped:
-                    entry_node: Node = ("entry", callee)
-                    key = (callee, dp, entry_node, dp)
-                    if key not in path_edges:
-                        path_edges.add(key)
-                        if dp is not ZERO:
-                            preds.setdefault((entry_node, dp), ("xfer", n, d2))
+                    key = (callee, dp, ("entry", callee), dp)
+                    if key not in preds:
+                        preds[key] = None if dp is ZERO else ("xfer", edge)
                         push(key)
                     ckey = (callee, dp)
-                    waiters = incoming.setdefault(ckey, [])
-                    item = (n, d2, mk, d1)
-                    if item not in waiters:
-                        waiters.append(item)
-                    for d_exit in end_summary.get(ckey, ()):
-                        apply_summary(mk, d1, n, d2, info, ("exit", callee), d_exit)
+                    incoming.setdefault(ckey, []).append(edge)
+                    for exit_ in end_summary.get(ckey, ()):
+                        apply_summary(edge, exit_)
                 # call_to_return: facts not entering the callee flow around it
                 if d2 is not ZERO and (
                     (info.dst is not None and d2.base == info.dst)  # result overwrites dst
                     or (d2.base in info.args and d2.chain)  # mapped back at exit
                 ):
                     continue
-                ret_node: Node = ("ret", sid)
-                key = (mk, d1, ret_node, d2)
-                if key not in path_edges:
-                    path_edges.add(key)
-                    if d2 is not ZERO:
-                        preds.setdefault((ret_node, d2), ("flow", n, d2))
+                key = (mk, d1, ("ret", sid), d2)
+                if key not in preds:
+                    preds[key] = None if d2 is ZERO else ("flow", edge)
                     push(key)
                 continue
             stmt = stmts[sid]
         elif kind == "exit":
-            if d2 is ZERO:
-                continue  # maps back to nothing
-            skey = (mk, d1)
-            sums = end_summary.setdefault(skey, {})
-            if d2 in sums:
-                continue
-            sums[d2] = None
-            for call_node, d_at_call, caller_mk, caller_d1 in incoming.get(skey, ()):
-                info = calls[call_node[1]]
-                apply_summary(caller_mk, caller_d1, call_node, d_at_call, info, n, d2)
+            if d2 is not ZERO:  # ZERO maps back to nothing
+                end_summary.setdefault((mk, d1), []).append(edge)
+                for call in incoming.get((mk, d1), ()):
+                    apply_summary(call, edge)
             continue
 
         if d2 is ZERO:
@@ -648,20 +641,19 @@ def propagate(
                 gen = Fact(stmt.dst, (), sid)
             for m, _ in succ.get(n, ()):
                 key = (mk, d1, m, ZERO)
-                if key not in path_edges:
-                    path_edges.add(key)
+                if key not in preds:
+                    preds[key] = None
                     push(key)
                 if gen is not None:
                     key = (mk, d1, m, gen)
-                    if key not in path_edges:
-                        path_edges.add(key)
-                        preds.setdefault((m, gen), ("gen", n))
+                    if key not in preds:
+                        preds[key] = ("gen", edge)
                         push(key)
             continue
 
         if kind == "stmt":
             if type(stmt) is SinkCall and stmt.sink in sinks and d2.base == stmt.var:
-                hits.append(SinkHit(d2, sid, n, stmt.sink))
+                hits.append(SinkHit(d2, sid, edge, stmt.sink))
             outs = _stmt_flow(stmt, d2)
         elif kind == "retval":
             outs = [d2]
@@ -670,13 +662,12 @@ def propagate(
                 outs.append(Fact(RET, d2.chain, d2.origin))
         else:  # entry, ret
             outs = [d2]
-        pred = ("flow", n, d2)
+        rec = ("flow", edge)
         for m, _ in succ.get(n, ()):
             for f in outs:
                 key = (mk, d1, m, f)
-                if key not in path_edges:
-                    path_edges.add(key)
-                    preds.setdefault((m, f), pred)
+                if key not in preds:
+                    preds[key] = rec
                     push(key)
 
     return result
@@ -698,43 +689,33 @@ class TaintedPath:
     apps: tuple[str, ...]
 
 
-class PathReconstructionError(Exception):
-    """A pred chain failed to reach its source — an internal invariant bug."""
+def _trace(edge: tuple, preds: dict) -> list[Node]:
+    """The source-first nodes of the witness that ends at path edge ``edge``.
 
-
-def _trace(node: Node, fact: Fact, preds: dict) -> tuple[list[Node], bool]:
-    """Walk pred records backwards; returns (source-first nodes, complete?).
-
-    A summary record first walks the callee back from its exit, stopping at
-    the callee's entry; if that inner walk does not reach a source, the walk
-    resumes at the call. Pending call sites wait on an explicit stack. A
-    call that passed ``ZERO`` passed no taint in, so the walk goes on past
-    its callee's entry, to the (recursive) call that passed the fact in.
+    The walk follows each edge's record back, in the edge's own context. A
+    summary pushes the caller's call edge and descends into the callee's
+    exit edge, whose entry fact is the one that call passed in. At the
+    callee's entry the walk pops that call edge when one is pending, and
+    otherwise follows the ``xfer`` record up to the caller that entered the
+    context first. So every call the witness enters, it returns from to the
+    same call.
     """
-    out = [node]
-    n, d, stop_at_entry = node, fact, False
-    calls: list[tuple[Node, Fact, bool]] = []
+    out = [edge[2]]
+    calls: list[tuple] = []
     while True:
-        pr = preds.get((n, d))
-        tag = None if pr is None else pr[0]
+        rec = preds[edge]
+        tag = rec[0]
         if tag == "gen":
-            out.append(pr[1])
-            return list(reversed(out)), True
-        if tag is None or (tag == "xfer" and stop_at_entry and calls[-1][1] is not ZERO):
-            if not calls:
-                return list(reversed(out)), False
-            n, d, stop_at_entry = calls.pop()
-            out.append(n)
-        elif tag in ("xfer", "flow"):
-            n, d = pr[1], pr[2]
-            out.append(n)
-        elif tag == "summary":
-            _, call_node, d_call, exit_node, d_exit = pr
-            calls.append((call_node, d_call, stop_at_entry))
-            n, d, stop_at_entry = exit_node, d_exit, True
-            out.append(n)
-        else:  # pragma: no cover - exhaustive
-            raise PathReconstructionError(f"unknown pred record {tag!r}")
+            out.append(rec[1][2])
+            return out[::-1]
+        if tag == "summary":
+            calls.append(rec[1])
+            edge = rec[2]
+        elif tag == "xfer" and calls:
+            edge = calls.pop()
+        else:  # flow, xfer
+            edge = rec[1]
+        out.append(edge[2])
 
 
 def classify_path(
@@ -773,11 +754,7 @@ def extract_paths(result: TaintResult, cfg: Cfg) -> list[TaintedPath]:
         key = (hit.fact.origin, hit.sink)
         if key in paths:
             continue
-        nodes, complete = _trace(hit.node, hit.fact, result.preds)
-        if not complete:
-            raise PathReconstructionError(
-                f"pred chain for {hit.fact} at {hit.sink} never reached its source"
-            )
+        nodes = _trace(hit.edge, result.preds)
         sids = [n[1] for n in nodes if n[0] == "stmt"]
         source_stmt = cfg.stmts[sids[0]]
         assert isinstance(source_stmt, SourceCall) and sids[0] == hit.fact.origin
@@ -1014,7 +991,7 @@ class _Reuse:
 
     def record(self, window: _Window, preds: dict, sites: dict[StmtId, StmtId]) -> None:
         """Record the window's sources but the skipped ones, read off the
-        facts ``propagate`` left in ``preds``."""
+        (node, fact) of each path edge ``propagate`` left in ``preds``."""
         keep = {a for a in window.apps if self.left[a] > 0}
         if not keep:
             return
@@ -1027,10 +1004,11 @@ class _Reuse:
         reached: dict[StmtId, set] = {
             s: set() for app in keep for s in self.sources[app] if s not in window.skip
         }
-        for n, d in [k for k in preds if k[0] in nodes]:
-            key, bases = nodes[n]
-            if d.origin in reached and (bases is None or d.base in bases):
-                reached[d.origin].add(key)
+        for _, _, n, d in preds:
+            if n in nodes and d.origin in reached:
+                key, bases = nodes[n]
+                if bases is None or d.base in bases:
+                    reached[d.origin].add(key)
         for source, keys in reached.items():
             if not keys.isdisjoint(window.out):
                 continue

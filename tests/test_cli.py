@@ -218,6 +218,55 @@ def test_instrument_output_that_is_a_file_is_an_error(corpus):
     _fails_cleanly(dest, "instrument", str(corpus / "a.cir"), "-o", str(dest))
 
 
+# two apps that each declare class Main of origin app Z: their statement
+# ids and method keys would collide
+SENDS_AS_Z = """
+app "A" {
+  component activity Main from "Z" {
+    filter { action "MAIN"; }
+    method onCreate(this) {
+      x = source "getDeviceId"
+      i = new_intent
+      set_action i "com.b.SHOW"
+      put_extra i "k" x
+      icc start_activity i
+    }
+  }
+}
+"""
+
+READS_AS_Z = """
+app "B" {
+  component activity Main from "Z" {
+    filter { action "com.b.SHOW"; }
+    method onCreate(this) {
+      g = get_intent
+      v = get_extra g "k"
+      sink "writeLog" v
+    }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["check", "links", "analyze"])
+def test_two_apps_declaring_one_class_is_an_error(corpus, command):
+    (corpus / "a.cir").write_text(SENDS_AS_Z, encoding="utf-8")
+    (corpus / "b.cir").write_text(READS_AS_Z, encoding="utf-8")
+    args = [str(corpus / "a.cir"), str(corpus / "b.cir")]
+    if command == "analyze":
+        args += ["--config", str(corpus / "rules.conf")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "iccflow.cli", command, *args],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{corpus / 'b.cir'}: error: class 'Z/Main' declared by apps 'A' and 'B'" in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["analyze", "bench"])
 def test_non_utf8_config_is_an_error(corpus, command):
     conf = corpus / "bad.conf"

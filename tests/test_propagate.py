@@ -1,16 +1,20 @@
-"""``propagate`` against the tabulation it replaced.
+"""``propagate`` against the tabulation it replaced, and its witnesses.
 
 ``propagate`` seeds ``ZERO`` only at roots, and passes it only into callees,
-from whose entry a live source (configured, not skipped) can be reached. The
-reference below is the tabulation before that change: it seeds every root
-and enters every callee under ``ZERO``. Both must leave the same ``preds``
-records, in insertion order, and the same sink hits in the same order, since
-witness paths and the merge of windows read both.
+from whose entry a live source (configured, not skipped) can be reached. It
+keeps one record per path edge. The reference below is the tabulation before
+those changes: it seeds every root, enters every callee under ``ZERO``, and
+keys its records by (node, fact). Both must leave the same non-``ZERO`` path
+edges, the same records keyed by (node, fact) in insertion order, and the
+same sink hits in the same order, since witness paths and the merge of
+windows read them. Every witness must be realizable: each call it enters,
+it returns from to the same call.
 """
 
 import itertools
 import random
 from collections import deque
+from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
@@ -32,12 +36,13 @@ from iccflow.taint import (
     extract_paths,
     propagate,
 )
-from test_reuse import CONFIG, _bench, _mix, _window_cfgs
+from test_reuse import CONFIG, _bench, _mix, _node_records, _window_cfgs
 
 
 def _reference_propagate(cfg, config, skip=frozenset()):
-    """The tabulation without pruning: every root is seeded and every callee
-    entered under ``ZERO``."""
+    """The tabulation without pruning, every root seeded and every callee
+    entered under ``ZERO``: its result, records keyed by (node, fact), and
+    its path edges."""
     result = TaintResult()
     preds = result.preds
     path_edges = set()
@@ -76,7 +81,7 @@ def _reference_propagate(cfg, config, skip=frozenset()):
                 and d2 is not ZERO
                 and d2.base == stmt.var
             ):
-                result.hits.append(SinkHit(d2, sid, n, stmt.sink))
+                result.hits.append(SinkHit(d2, sid, (mk, d1, n, d2), stmt.sink))
 
             info = cfg.calls.get(sid)
             if info is not None:
@@ -139,15 +144,42 @@ def _reference_propagate(cfg, config, skip=frozenset()):
             for f, pred in outs:
                 prop(mk, d1, m, f, pred)
 
-    return result
+    return result, path_edges
 
 
 def _assert_same(cfg, skip):
     got = propagate(cfg, CONFIG, skip)
-    want = _reference_propagate(cfg, CONFIG, skip)
-    assert list(got.preds.items()) == list(want.preds.items())
+    want, want_edges = _reference_propagate(cfg, CONFIG, skip)
+    assert list(_node_records(got.preds).items()) == list(want.preds.items())
+    assert {k for k in got.preds if k[3] is not ZERO} == {k for k in want_edges if k[3] is not ZERO}
     assert got.hits == want.hits
     return got
+
+
+def _realizable(nodes):
+    """Whether each exit -> ret step of a witness walk returns to the call
+    of the call -> entry step it matches, when the walk made one."""
+    pending = []
+    for a, b in zip(nodes, nodes[1:]):
+        if b[0] == "entry":
+            pending.append((a[1], b[1]))
+        elif a[0] == "exit" and pending and pending.pop() != (b[1], a[1]):
+            return False
+    return True
+
+
+@contextmanager
+def _walks():
+    """Collect the node walk of every witness ``extract_paths`` builds."""
+    walks, real = [], taint._trace
+
+    def trace(edge, preds):
+        walks.append(real(edge, preds))
+        return walks[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(taint, "_trace", trace)
+        yield walks
 
 
 def _sources(cfg):
@@ -158,7 +190,8 @@ def _sources(cfg):
 
 
 def _windows(apps, max_len):
-    """Each window's CFG with the sources ``analyze`` skipped in it."""
+    """Each window's CFG with the sources ``analyze`` skipped in it, and the
+    node walks of the witnesses it built."""
     links = match_links(resolve_corpus(apps), apps).links
     out = []
     real = taint.propagate
@@ -167,10 +200,10 @@ def _windows(apps, max_len):
         out.append((cfg, skip))
         return real(cfg, config, skip)
 
-    with pytest.MonkeyPatch.context() as m:
+    with pytest.MonkeyPatch.context() as m, _walks() as walks:
         m.setattr(taint, "propagate", record)
         analyze(apps, links, CONFIG, max_len)
-    return out
+    return out, walks
 
 
 @lru_cache(maxsize=None)
@@ -182,8 +215,15 @@ CORPORA = [("bench", 2), ("bench", 3), ("bench", 4), ("mix", 2), ("mix", 3)]
 
 
 @pytest.mark.parametrize("corpus, max_len", CORPORA)
+def test_every_witness_analyze_builds_is_realizable(corpus, max_len):
+    _, walks = _corpus_windows(corpus, max_len)
+    assert len(walks) > 10
+    assert [w for w in walks if not _realizable(w)] == []
+
+
+@pytest.mark.parametrize("corpus, max_len", CORPORA)
 def test_matches_the_reference_with_the_skips_analyze_makes(corpus, max_len):
-    windows = _corpus_windows(corpus, max_len)
+    windows, _ = _corpus_windows(corpus, max_len)
     assert len(windows) > 10
     for cfg, skip in windows:
         _assert_same(cfg, skip)
@@ -218,6 +258,28 @@ app "A" {
     method get() {
       s = source "getDeviceId"
       return s
+    }
+  }
+}
+"""
+
+# both calls pass the same fact into one callee context, which the first
+# call entered: the second sink's witness must return to the second call
+IDENTITY_TWO_SITES = """
+app "A" {
+  component activity Main {
+    filter { action "MAIN"; }
+    method onCreate(this) {
+      x = source "getDeviceId"
+      a = call Util.id(x)
+      sink "writeLog" a
+      b = call Util.id(x)
+      sink "sendToUrl" b
+    }
+  }
+  class Util {
+    method id(v) {
+      return v
     }
   }
 }
@@ -376,6 +438,11 @@ HAND = {
         [HELPER_TWO_SITES],
         {("A/Util/get/b0/0", "A/Main/onCreate/b0/1"), ("A/Util/get/b0/0", "A/Main/onCreate/b0/3")},
     ),
+    "identity_two_sites": (
+        [IDENTITY_TWO_SITES],
+        {("A/Main/onCreate/b0/0", "A/Main/onCreate/b0/2"),
+         ("A/Main/onCreate/b0/0", "A/Main/onCreate/b0/4")},
+    ),
     "redirect_only": (
         [ASKER, ECHO],
         {("B/Echo/onCreate/b0/0", "A/Main/onActivityResult/b0/1")},
@@ -403,19 +470,24 @@ def test_hand_case_matches_the_reference_under_every_skip(case):
     texts, want = HAND[case]
     apps = [parse_app(text).app for text in texts]
     found = set()
-    for cfg, _ in _windows(apps, 3):
+    windows, walks = _windows(apps, 3)
+    for cfg, _ in windows:
         sources = _sources(cfg)
         for k in range(len(sources) + 1):
             for skip in itertools.combinations(sources, k):
                 res = _assert_same(cfg, frozenset(skip))
+                with _walks() as more:
+                    paths = extract_paths(res, cfg)
+                walks += more
                 if not skip:
-                    found |= {(str(p.source), str(p.sink)) for p in extract_paths(res, cfg)}
+                    found |= {(str(p.source), str(p.sink)) for p in paths}
     assert found == want
+    assert walks and [w for w in walks if not _realizable(w)] == []
 
 
 def test_an_app_whose_sources_are_all_skipped_seeds_nothing_of_its_own():
     apps = [parse_app(text).app for text in (SENDER, RECEIVER)]
-    (cfg, _), = _windows(apps, 2)
+    ((cfg, _),), _ = _windows(apps, 2)
     res = _assert_same(cfg, frozenset(s for s in _sources(cfg) if s.app == "B"))
     # A's taint still reaches B's sink
     assert {(str(p.source), str(p.sink)) for p in extract_paths(res, cfg)} == {

@@ -25,6 +25,7 @@ from iccflow.instrument import instrument_model
 from iccflow.ir import IccCall, SetResult
 from iccflow.parser import load_corpus, parse_app
 from iccflow.taint import (
+    ZERO,
     AnalysisReport,
     _analyze_set,
     analyze,
@@ -67,6 +68,25 @@ def _bench():
     return apps
 
 
+def _edges(preds):
+    """``propagate``'s path edges but the ``ZERO`` ones, with their records."""
+    return {k: rec for k, rec in preds.items() if k[3] is not ZERO}
+
+
+def _node_records(preds):
+    """``propagate``'s records as they were keyed by (node, fact): the first
+    non-``ZERO`` edge at a (node, fact) gives it its record, with each edge
+    in the record written as its (node, fact), and a ``gen`` record's as its
+    node."""
+    out = {}
+    for (_, _, n, d), rec in preds.items():
+        if rec is not None:
+            tag, *edges = rec
+            old = (tag, edges[0][2]) if tag == "gen" else (tag, *(x for e in edges for x in e[2:]))
+            out.setdefault((n, d), old)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # origin independence: suppressing sources leaves the others as they were
 # ---------------------------------------------------------------------------
@@ -100,10 +120,12 @@ def test_suppressing_sources_leaves_the_other_sources_alone(corpus, max_len, see
     windows = _window_cfgs(corpus, max_len)
     assert len(windows) > 10
     for cfg, full in windows:
-        sources = sorted({d.origin for _, d in full.preds})
+        sources = sorted({d.origin for _, d in _node_records(full.preds)})
         skip = frozenset(rng.sample(sources, len(sources) // 2))
         part = propagate(cfg, CONFIG, skip)
-        assert part.preds == {k: v for k, v in full.preds.items() if k[1].origin not in skip}
+        records = _node_records(full.preds)
+        assert _node_records(part.preds) == {k: v for k, v in records.items() if k[1].origin not in skip}
+        assert _edges(part.preds) == {k: v for k, v in _edges(full.preds).items() if k[3].origin not in skip}
         assert part.hits == [h for h in full.hits if h.fact.origin not in skip]
         kept = [p for p in extract_paths(full, cfg) if p.source not in skip]
         assert extract_paths(part, cfg) == kept
@@ -111,7 +133,7 @@ def test_suppressing_sources_leaves_the_other_sources_alone(corpus, max_len, see
 
 def test_a_suppressed_source_generates_nothing():
     cfg, full = next(w for w in _window_cfgs("bench", 3) if w[1].hits)
-    sources = frozenset(d.origin for _, d in full.preds)
+    sources = frozenset(d.origin for _, d in _node_records(full.preds))
     part = propagate(cfg, CONFIG, sources)
     assert part.preds == {} and part.hits == []
 
@@ -561,7 +583,7 @@ def _far_reaching(cfg, res, comp):
     mine = (comp.origin_app, comp.name)
     out = [(h.sink, h.fact) for h in res.hits
            if (h.sink.app, h.sink.cls) == mine and h.fact.origin.app != comp.origin_app]
-    for node, fact in res.preds:
+    for node, fact in _node_records(res.preds):
         if node[0] != "stmt" or (node[1].app, node[1].cls) != mine or fact.origin.app == comp.origin_app:
             continue
         sid, stmt = node[1], cfg.stmts[node[1]]
@@ -584,7 +606,8 @@ def test_no_taint_from_another_app_gets_out_of_a_deaf_component(corpus, max_len)
     entered = 0  # deaf components that taint from another app enters
     for cfg, res in windows:
         present = {(c.origin_app, c.name) for c in cfg.model.components}
-        foreign = {n[1][:2] for n, d in res.preds if n[0] == "entry" and d.origin.app != n[1][0]}
+        foreign = {n[1][:2] for n, d in _node_records(res.preds)
+                   if n[0] == "entry" and d.origin.app != n[1][0]}
         for comp in deaf:
             if (comp.origin_app, comp.name) in present:
                 assert _far_reaching(cfg, res, comp) == []

@@ -7,6 +7,7 @@ from iccflow.combine import build_iac_graph, split_graph
 from iccflow.icc import links_by_app, match_links, resolve_corpus
 from iccflow.parser import load_corpus, parse_app, serialize_app
 from iccflow.taint import _analyze_set, analyze, parse_config, render_report
+from test_propagate import _realizable, _walks
 
 CONF = parse_config(
     """
@@ -507,10 +508,18 @@ app "A" {
 
 def test_a_source_returned_through_recursion_is_reported(tmp_path, capsys):
     # stated by hand: the oracle runs out of call depth on the recursion
-    rep = run(RECURSIVE_RETURN)
+    with _walks() as walks:
+        rep = run(RECURSIVE_RETURN)
     assert pairs(rep) == {("A/R/g/b0/0", "A/Main/onCreate/b0/2")}
     stmts = rep.paths[0].stmts
     assert str(stmts[0]) == "A/R/g/b0/0" and str(stmts[-1]) == "A/Main/onCreate/b0/2"
+    # g -> f -> g -> f -> onCreate: f returns to g's call, which returns
+    # into the f that made it, which returns into onCreate
+    (walk,) = walks
+    assert _realizable(walk)
+    assert [str(n[1]) for n in walk if n[0] == "ret"] == [
+        "A/R/g/b0/1", "A/R/f/rec/0", "A/Main/onCreate/b0/1"
+    ]
     (tmp_path / "r.cir").write_text(RECURSIVE_RETURN, encoding="utf-8")
     (tmp_path / "r.conf").write_text("source getDeviceId\nsink writeLog\n", encoding="utf-8")
     code = main(["analyze", str(tmp_path / "r.cir"), "--config", str(tmp_path / "r.conf")])
