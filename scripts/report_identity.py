@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Check that ``iccflow analyze`` and ``iccflow bench`` report the same as a
-base checkout does.
+"""Check that ``iccflow analyze``, ``bench``, ``instrument`` and the parser
+report the same as a base checkout does.
 
     python3 scripts/report_identity.py --base ../iccflow-base [--head .]
 
@@ -11,12 +11,16 @@ without its ``[time]`` lines. The inputs are the benchmark corpora
 seeds 1 and 2, built with the head's ``perfbench/workloads.py``;
 ``corpus/bench`` at ``--max-len`` 2, 3 and 4, as text and as TSV;
 ``corpus/warnings``, whose analysis warns of unknown callees, at
-``--max-len`` 2 and 3; and ``bench corpus/bench`` as text and as TSV.
+``--max-len`` 2 and 3; ``bench corpus/bench`` as text and as TSV; and
+``instrument`` on ``corpus/bench`` and ``corpus/motivating``.
 Reports show only a path's length, so it also compares every path's full
 statement list, printed by ``WITNESSES`` in-process against each
 checkout's ``src``, on ``dense``, ``sparse`` and ``widen`` seed 1 and on
-``corpus/bench`` at ``--max-len 3``. Prints one line per case and exits 1
-if any case differs.
+``corpus/bench`` at ``--max-len 3``. ``PARSES`` does the same for the
+parser: the diagnostics and serialized model of every ``corpus/`` file,
+every ``progen`` corpus of seeds 0-59, and 2,000 seeded line mutations of
+them (``progen.line_mutations``). Prints one line per case and exits 1 if
+any case differs.
 """
 
 from __future__ import annotations
@@ -44,6 +48,20 @@ for p in analyze(apps, links, load_config(config), int(max_len)).paths:
     print(p.source, p.sink, *p.stmts)
 """
 
+# argv: a directory of .cir texts; per file, its diagnostics and its model
+PARSES = """
+import sys
+from pathlib import Path
+from iccflow.parser import parse_app, serialize_app
+for path in sorted(Path(sys.argv[1]).iterdir()):
+    r = parse_app(path.read_text(encoding="utf-8"))
+    print("==", path.name)
+    for d in r.diagnostics:
+        print(d.line, d.column, d.severity, d.message)
+    if r.ok:
+        print(serialize_app(r.app), end="")
+"""
+
 
 def _run(checkout: Path, argv: list[str]) -> tuple[int, str, str]:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
@@ -58,31 +76,44 @@ def _run(checkout: Path, argv: list[str]) -> tuple[int, str, str]:
 def cases(head: Path, work: Path) -> list[tuple[str, list[str]]]:
     """(name, Python arguments) of every compared run; writes the corpora."""
     sys.path[:0] = [str(head / "src"), str(head / "tests"), str(head / "perfbench")]
+    import progen
     import workloads
 
     config = str(head / "corpus" / "sources_sinks.conf")
-    out, witnesses = [], []
+    out, snippets = [], []
     for seed in SEEDS:
         for name, max_len in WORKLOADS:
             corpus = work / f"{name}-{seed}"
             workloads.generate(name, seed).write(corpus)
-            out.append((f"{name} seed {seed}", ["analyze", str(corpus), "--max-len", str(max_len)]))
+            out.append((f"{name} seed {seed}",
+                        ["analyze", str(corpus), "--max-len", str(max_len), "--config", config]))
             if seed == 1:
-                witnesses.append((f"{name} seed {seed} witnesses", [str(corpus), str(max_len)]))
+                snippets.append((f"{name} seed {seed} witnesses",
+                                 [WITNESSES, str(corpus), str(max_len), config]))
     bench = str(head / "corpus" / "bench")
-    witnesses.append(("corpus/bench max-len 3 witnesses", [bench, "3"]))
+    snippets.append(("corpus/bench max-len 3 witnesses", [WITNESSES, bench, "3", config]))
     for max_len in (2, 3, 4):
         for fmt in ("text", "tsv"):
             out.append((f"corpus/bench max-len {max_len} {fmt}",
-                        ["analyze", bench, "--max-len", str(max_len), "--format", fmt]))
+                        ["analyze", bench, "--max-len", str(max_len), "--format", fmt,
+                         "--config", config]))
     warnings = str(head / "corpus" / "warnings")
     for max_len in (2, 3):
         out.append((f"corpus/warnings max-len {max_len}",
-                    ["analyze", warnings, "--max-len", str(max_len)]))
+                    ["analyze", warnings, "--max-len", str(max_len), "--config", config]))
     for fmt in ("text", "tsv"):
-        out.append((f"bench corpus/bench {fmt}", ["bench", bench, "--format", fmt]))
-    return [(name, ["-m", "iccflow.cli", *args, "--config", config]) for name, args in out] + [
-        (name, ["-c", WITNESSES, *args, config]) for name, args in witnesses
+        out.append((f"bench corpus/bench {fmt}", ["bench", bench, "--format", fmt, "--config", config]))
+    for name in ("bench", "motivating"):
+        out.append((f"instrument corpus/{name}", ["instrument", str(head / "corpus" / name)]))
+    texts = [p.read_text(encoding="utf-8") for p in sorted((head / "corpus").rglob("*.cir"))]
+    texts += [text for seed in range(60) for text in progen.gen_corpus(seed)]
+    parses = work / "parses"
+    parses.mkdir()
+    for n, text in enumerate(texts + progen.line_mutations(texts, 2000, seed=1)):
+        (parses / f"{n:04d}.cir").write_text(text, encoding="utf-8")
+    snippets.append(("parse of corpus texts and line mutations", [PARSES, str(parses)]))
+    return [(name, ["-m", "iccflow.cli", *args]) for name, args in out] + [
+        (name, ["-c", *args]) for name, args in snippets
     ]
 
 

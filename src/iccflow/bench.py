@@ -21,7 +21,7 @@ from typing import Optional
 
 from .icc import match_links, resolve_corpus
 from .ir import Diagnostic, StmtId
-from .parser import load_app
+from .parser import load_corpus
 from .taint import SourceSinkConfig, TaintedPath, analyze
 
 _CLASSES = ("Intra", "ICC", "IAC")
@@ -106,14 +106,11 @@ def run_case(case_dir: str, config: SourceSinkConfig) -> CaseResult:
         result.valid = False
         return result
 
-    apps = []
-    for cir in sorted(case.glob("*.cir")):
-        parsed = load_app(str(cir))
-        result.diagnostics.extend(parsed.diagnostics)
-        if parsed.app is None:
-            result.valid = False
-            return result
-        apps.append(parsed.app)
+    apps, diags = load_corpus([str(cir) for cir in sorted(case.glob("*.cir"))])
+    result.diagnostics.extend(diags)
+    if any(d.severity == "error" for d in diags):
+        result.valid = False
+        return result
     if not apps:
         result.valid = False
         result.diagnostics.append(Diagnostic("error", f"{case.name}: no .cir files"))

@@ -16,7 +16,7 @@ from typing import Optional
 from .combine import build_iac_graph, split_graph
 from .icc import links_by_app, match_links, resolve_corpus
 from .instrument import InstrumentError, instrument_model
-from .ir import AppModel, Diagnostic, error
+from .ir import AppModel, Diagnostic
 from .parser import corpus_files, load_corpus, serialize_app
 from .taint import SourceSinkConfig, analyze, load_config, render_report
 
@@ -40,30 +40,10 @@ def _load_models(paths: list[str]) -> list[AppModel]:
             files.append(p)
     files = sorted(dict.fromkeys(files))
     apps, diags = load_corpus(files)
-    seen: dict[str, str] = {}
-    owner: dict[str, str] = {}  # qualified class name -> the app declaring it
-    unique: list[AppModel] = []
-    for app in apps:
-        if app.app_id in seen:
-            diags.append(
-                error(
-                    f"duplicate app id {app.app_id!r} "
-                    f"(already defined in {seen[app.app_id]})",
-                    app.source_path,
-                )
-            )
-            continue
-        seen[app.app_id] = app.source_path or "<input>"
-        unique.append(app)
-        for comp in app.components:
-            first = owner.setdefault(comp.qualified_name, app.app_id)
-            if first != app.app_id:
-                msg = f"class {comp.qualified_name!r} declared by apps {first!r} and {app.app_id!r}"
-                diags.append(error(msg, app.source_path))
     _print_diags(diags)
     if any(d.severity == "error" for d in diags):
         raise _Failed
-    return unique
+    return apps
 
 
 def _read_config(path: str) -> SourceSinkConfig:

@@ -241,6 +241,48 @@ class NewObj(Stmt):
     cls: str = ""
 
 
+class StmtForm(NamedTuple):
+    """A statement written ``[dst =] keyword field ...``; see ``STMT_FORMS``."""
+
+    cls: type
+    dst: bool  # written after ``dst =``
+    fields: tuple[tuple[str, str, str], ...]
+
+
+_INTENT = ("intent", "var", "intent variable")
+_SET_FIELDS = (_INTENT, ("value", "op", "attribute value"))
+
+#: Each statement form a keyword names, read by the parser, the printer and
+#: the use lists (``call``, field access, constants and copies are written
+#: by hand). A field is ``(attribute, kind, what)``: kind ``var`` is a
+#: variable, ``op`` a variable or a string literal (an ``Operand``), ``str`` a
+#: string literal and ``kind`` an ICC kind; ``what`` names the field in parse
+#: errors. Fields follow ``dst``, if any, in the class's field order.
+STMT_FORMS: dict[str, StmtForm] = {
+    "sink": StmtForm(
+        SinkCall, False, (("sink", "str", "sink name string"), ("var", "var", "variable name"))
+    ),
+    "set_target": StmtForm(SetTarget, False, _SET_FIELDS),
+    "set_action": StmtForm(SetAction, False, _SET_FIELDS),
+    "set_category": StmtForm(SetCategory, False, _SET_FIELDS),
+    "set_data_type": StmtForm(SetDataType, False, _SET_FIELDS),
+    "put_extra": StmtForm(
+        PutExtra, False, (_INTENT, ("key", "op", "extra key"), ("value", "var", "value variable"))
+    ),
+    "set_result": StmtForm(SetResult, False, (_INTENT,)),
+    "finish": StmtForm(Finish, False, ()),
+    "icc": StmtForm(IccCall, False, (("kind", "kind", "icc kind"), _INTENT)),
+    "source": StmtForm(SourceCall, True, (("source", "str", "source name string"),)),
+    "new_intent": StmtForm(NewIntent, True, ()),
+    "new_obj": StmtForm(NewObj, True, (("cls", "str", "class name string"),)),
+    "get_intent": StmtForm(GetIntent, True, ()),
+    "get_extra": StmtForm(GetExtra, True, (_INTENT, ("key", "op", "extra key"))),
+}
+
+#: The keyword of each statement class in ``STMT_FORMS``.
+STMT_KEYWORDS: dict[type, str] = {form.cls: kw for kw, form in STMT_FORMS.items()}
+
+
 # ---------------------------------------------------------------------------
 # Terminators and blocks
 # ---------------------------------------------------------------------------
@@ -402,29 +444,16 @@ def warning(message: str, file: Optional[str] = None, line: int = 0, column: int
 def _stmt_uses(stmt: Stmt) -> list[str]:
     """Variable names a statement reads."""
     uses: list[str] = []
-
-    def op(o: Operand) -> None:
-        if not o.is_literal:
-            uses.append(o.text)
-
-    if isinstance(stmt, Assign):
+    keyword = STMT_KEYWORDS.get(type(stmt))
+    if keyword is not None:
+        for attr, kind, _what in STMT_FORMS[keyword].fields:
+            value = getattr(stmt, attr)
+            if kind == "var":
+                uses.append(value)
+            elif kind == "op" and not value.is_literal:
+                uses.append(value.text)
+    elif isinstance(stmt, Assign):
         uses.append(stmt.src)
-    elif isinstance(stmt, SinkCall):
-        uses.append(stmt.var)
-    elif isinstance(stmt, (SetTarget, SetAction, SetCategory, SetDataType)):
-        uses.append(stmt.intent)
-        op(stmt.value)
-    elif isinstance(stmt, PutExtra):
-        uses.append(stmt.intent)
-        op(stmt.key)
-        uses.append(stmt.value)
-    elif isinstance(stmt, GetExtra):
-        uses.append(stmt.intent)
-        op(stmt.key)
-    elif isinstance(stmt, SetResult):
-        uses.append(stmt.intent)
-    elif isinstance(stmt, IccCall):
-        uses.append(stmt.intent)
     elif isinstance(stmt, Call):
         uses.extend(stmt.args)
     elif isinstance(stmt, FieldStore):
@@ -533,14 +562,9 @@ def _validate_method(
                 if used not in declared:
                     diags.append(error(f"{loc}: use of undeclared variable {used!r}", path))
             if isinstance(stmt, (GetIntent, SetResult, Finish)) and not in_component_method:
-                kw = {
-                    GetIntent: "get_intent",
-                    SetResult: "set_result",
-                    Finish: "finish",
-                }[type(stmt)]
                 diags.append(
                     error(
-                        f"{loc}: {kw} is only legal inside component methods "
+                        f"{loc}: {STMT_KEYWORDS[type(stmt)]} is only legal inside component methods "
                         "(first parameter 'this' of an activity/service/"
                         "receiver/provider)",
                         path,

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .ir import (
+    STMT_FORMS,
+    STMT_KEYWORDS,
     AppModel,
     Assign,
     Block,
@@ -30,29 +32,16 @@ from .ir import (
     Diagnostic,
     FieldLoad,
     FieldStore,
-    Finish,
-    GetExtra,
-    GetIntent,
     Goto,
     ICC_KINDS,
-    IccCall,
     IntentFilter,
     LIFECYCLE_SLOTS,
     Lit,
     Method,
-    NewIntent,
-    NewObj,
     Operand,
-    PutExtra,
     Return,
-    SetAction,
-    SetCategory,
-    SetDataType,
-    SetResult,
-    SetTarget,
-    SinkCall,
-    SourceCall,
     Stmt,
+    StmtForm,
     StmtId,
     Var,
     error,
@@ -61,15 +50,21 @@ from .ir import (
 
 _KEYWORDS = frozenset(
     """app component class synthetic from filter action category data_type
-       method callback source sink new_intent new_obj set_target set_action
-       set_category set_data_type put_extra get_extra get_intent set_result
-       finish icc call goto branch return activity service receiver
+       method callback call goto branch return activity service receiver
        provider""".split()
-)
+) | STMT_FORMS.keys()
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TAG_RE = re.compile(r"@tag\s+([A-Za-z_][A-Za-z0-9_]*)")
 
+# One group per token kind, named as ``Match.lastgroup`` reports it. A
+# string literal with no closing quote ended at a bad escape or at the end
+# of the line. Blanks match nothing, so ``finditer`` skips them.
+_TOKEN_RE = re.compile(
+    r'#(?P<comment>.*)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[{}()=:.,;])'
+    r'|(?P<string>"(?P<body>(?:[^"\\]|\\[nt"\\])*)(?P<close>")?)|(?P<other>[^ \t\r])'
+)
+_ESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
@@ -102,58 +97,28 @@ class _LineLexer:
     def lex(self, text: str, number: int) -> Line:
         tokens: list[Token] = []
         comment = ""
-        i = 0
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch in " \t\r":
-                i += 1
-                continue
-            if ch == "#":
-                comment = text[i + 1 :]
-                break
-            col = i + 1
-            if ch == '"':
-                value, i, ok = self._lex_string(text, i, number, col)
-                if not ok:
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            col = m.start() + 1
+            if kind == "string":
+                if m.group("close") is None:
+                    if m.end() < len(text):  # stopped at a backslash
+                        self.diags.append(error("bad string escape", self.path, number, m.end() + 1))
+                    else:
+                        self.diags.append(error("unterminated string literal", self.path, number, col))
                     break
+                value = m.group("body")
+                if "\\" in value:
+                    value = _ESCAPE_RE.sub(lambda e: _ESCAPES[e.group(1)], value)
                 tokens.append(Token("string", value, col))
-                continue
-            m = _IDENT_RE.match(text, i)
-            if m:
-                tokens.append(Token("ident", m.group(0), col))
-                i = m.end()
-                continue
-            if ch in "{}()=:.,;":
-                tokens.append(Token("punct", ch, col))
-                i += 1
-                continue
-            self.diags.append(
-                error(f"unexpected character {ch!r}", self.path, number, col)
-            )
-            i += 1
+            elif kind == "other":
+                self.diags.append(error(f"unexpected character {m.group(kind)!r}", self.path, number, col))
+            elif kind == "comment":
+                comment = m.group(kind)
+                break
+            else:
+                tokens.append(Token(kind, m.group(kind), col))
         return Line(number, tokens, comment)
-
-    def _lex_string(self, text: str, i: int, number: int, col: int):
-        out: list[str] = []
-        i += 1
-        while i < len(text):
-            ch = text[i]
-            if ch == '"':
-                return "".join(out), i + 1, True
-            if ch == "\\":
-                if i + 1 < len(text) and text[i + 1] in _ESCAPES:
-                    out.append(_ESCAPES[text[i + 1]])
-                    i += 2
-                    continue
-                self.diags.append(
-                    error("bad string escape", self.path, number, i + 1)
-                )
-                return "", i, False
-            out.append(ch)
-            i += 1
-        self.diags.append(error("unterminated string literal", self.path, number, col))
-        return "", i, False
 
 
 class _Cursor:
@@ -173,9 +138,6 @@ class _Cursor:
         tok = self.peek()
         self.pos += 1
         return tok
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.line.tokens)
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
         tok = self.peek()
@@ -197,7 +159,7 @@ class _Cursor:
         return tok
 
     def expect_done(self) -> None:
-        if not self.at_end():
+        if self.pos < len(self.line.tokens):
             raise self.fail("trailing tokens on line")
 
 
@@ -364,21 +326,14 @@ class _Parser:
             cur.next()
             try:
                 name = cur.expect("ident", what="method name").text
-                cur.expect("punct", "(")
-                params: list[str] = []
-                if not cur.accept("punct", ")"):
-                    while True:
-                        params.append(cur.expect("ident", what="parameter name").text)
-                        if cur.accept("punct", ")"):
-                            break
-                        cur.expect("punct", ",")
+                params = self._names(cur, lambda: cur.expect("ident", what="parameter name").text)
                 cur.expect("punct", "{")
                 cur.expect_done()
             except ParseError as exc:
                 self.diags.append(exc.diagnostic)
                 self._skip_block()
                 return
-            method = Method(name=name, params=tuple(params), synthetic=synthetic)
+            method = Method(name=name, params=params, synthetic=synthetic)
             self._parse_body(method, comp)
             if is_callback:
                 comp.callbacks.append(method)
@@ -394,22 +349,15 @@ class _Parser:
     def _parse_filter(self, cur: _Cursor) -> IntentFilter:
         cur.expect("ident", "filter")
         cur.expect("punct", "{")
-        actions: set[str] = set()
-        categories: set[str] = set()
-        data_types: set[str] = set()
+        entries: dict[str, set[str]] = {"action": set(), "category": set(), "data_type": set()}
         while not cur.accept("punct", "}"):
             key = cur.expect("ident", what="'action', 'category' or 'data_type'")
-            if key.text not in ("action", "category", "data_type"):
+            if key.text not in entries:
                 raise cur.fail(f"unknown filter entry {key.text!r}")
-            value = cur.expect("string", what="filter value string").text
-            {"action": actions, "category": categories, "data_type": data_types}[
-                key.text
-            ].add(value)
+            entries[key.text].add(cur.expect("string", what="filter value string").text)
             cur.accept("punct", ";")
         cur.expect_done()
-        return IntentFilter(
-            frozenset(actions), frozenset(categories), frozenset(data_types)
-        )
+        return IntentFilter(*(frozenset(values) for values in entries.values()))
 
     # -- method bodies ------------------------------------------------------
 
@@ -462,9 +410,6 @@ class _Parser:
         if not blocks:
             blocks.append(Block(label="b0", term=Return()))
         method.blocks = blocks
-        self._stamp_ids(method, comp)
-
-    def _stamp_ids(self, method: Method, comp: Component) -> None:
         for block in method.blocks:
             for i, stmt in enumerate(block.stmts):
                 stmt.sid = StmtId(
@@ -473,28 +418,23 @@ class _Parser:
 
     def _try_terminator(self, cur: _Cursor):
         head = cur.peek()
-        if head.kind != "ident":
+        if head.kind != "ident" or head.text not in ("goto", "branch", "return"):
             return None
+        cur.next()
         if head.text == "goto":
-            cur.next()
-            label = cur.expect("ident", what="block label").text
-            cur.expect_done()
-            return Goto(label)
-        if head.text == "branch":
-            cur.next()
+            term = Goto(cur.expect("ident", what="block label").text)
+        elif head.text == "branch":
             left = cur.expect("ident", what="block label").text
             right = cur.expect("ident", what="block label").text
-            cur.expect_done()
-            return Branch(left, right)
-        if head.text == "return":
-            cur.next()
+            term = Branch(left, right)
+        else:
             var = None
             tok = cur.accept("ident")
             if tok is not None:
                 var = tok.text
-            cur.expect_done()
-            return Return(var)
-        return None
+            term = Return(var)
+        cur.expect_done()
+        return term
 
     def _operand(self, cur: _Cursor, what: str) -> Operand:
         tok = cur.peek()
@@ -506,7 +446,7 @@ class _Parser:
             return Var(tok.text)
         raise cur.fail(f"expected {what} (variable or string literal)")
 
-    def _var(self, cur: _Cursor, what: str = "variable name") -> str:
+    def _var(self, cur: _Cursor, what: str) -> str:
         tok = cur.peek()
         if tok.kind == "ident" and tok.text not in _KEYWORDS:
             cur.next()
@@ -525,43 +465,10 @@ class _Parser:
         head = cur.peek()
         if head.kind != "ident":
             raise cur.fail("expected a statement")
-
-        if head.text == "sink":
+        form = STMT_FORMS.get(head.text)
+        if form is not None and not form.dst:
             cur.next()
-            name = cur.expect("string", what="sink name string").text
-            var = self._var(cur)
-            return SinkCall(sink=name, var=var)
-        if head.text in ("set_target", "set_action", "set_category", "set_data_type"):
-            cls = {
-                "set_target": SetTarget,
-                "set_action": SetAction,
-                "set_category": SetCategory,
-                "set_data_type": SetDataType,
-            }[head.text]
-            cur.next()
-            intent = self._var(cur, "intent variable")
-            value = self._operand(cur, "attribute value")
-            return cls(intent=intent, value=value)
-        if head.text == "put_extra":
-            cur.next()
-            intent = self._var(cur, "intent variable")
-            key = self._operand(cur, "extra key")
-            value = self._var(cur, "value variable")
-            return PutExtra(intent=intent, key=key, value=value)
-        if head.text == "set_result":
-            cur.next()
-            intent = self._var(cur, "intent variable")
-            return SetResult(intent=intent)
-        if head.text == "finish":
-            cur.next()
-            return Finish()
-        if head.text == "icc":
-            cur.next()
-            kind = cur.expect("ident", what="icc kind").text
-            if kind not in ICC_KINDS:
-                raise cur.fail(f"unknown icc kind {kind!r}")
-            intent = self._var(cur, "intent variable")
-            return IccCall(kind=kind, intent=intent)
+            return form.cls(*self._fields(cur, form))
         if head.text == "call":
             return self._parse_call(cur, dst=None)
 
@@ -579,25 +486,10 @@ class _Parser:
             return Const(dst=first, value=rhs.text)
         if rhs.kind != "ident":
             raise cur.fail("expected an expression after '='")
-        if rhs.text == "source":
+        form = STMT_FORMS.get(rhs.text)
+        if form is not None and form.dst:
             cur.next()
-            name = cur.expect("string", what="source name string").text
-            return SourceCall(dst=first, source=name)
-        if rhs.text == "new_intent":
-            cur.next()
-            return NewIntent(dst=first)
-        if rhs.text == "new_obj":
-            cur.next()
-            cls = cur.expect("string", what="class name string").text
-            return NewObj(dst=first, cls=cls)
-        if rhs.text == "get_intent":
-            cur.next()
-            return GetIntent(dst=first)
-        if rhs.text == "get_extra":
-            cur.next()
-            intent = self._var(cur, "intent variable")
-            key = self._operand(cur, "extra key")
-            return GetExtra(dst=first, intent=intent, key=key)
+            return form.cls(first, *self._fields(cur, form))
         if rhs.text == "call":
             return self._parse_call(cur, dst=first)
         src = self._var(cur, "variable name")
@@ -605,6 +497,21 @@ class _Parser:
             fld = self._var(cur, "field name")
             return FieldLoad(dst=first, obj=src, fld=fld)
         return Assign(dst=first, src=src)
+
+    def _fields(self, cur: _Cursor, form: StmtForm) -> list:
+        """The values of a table form's fields, in order."""
+        values: list = []
+        for _attr, kind, what in form.fields:
+            if kind == "var":
+                values.append(self._var(cur, what))
+            elif kind == "op":
+                values.append(self._operand(cur, what))
+            else:
+                tok = cur.expect("string" if kind == "str" else "ident", what=what)
+                if kind == "kind" and tok.text not in ICC_KINDS:
+                    raise cur.fail(f"unknown icc kind {tok.text!r}")
+                values.append(tok.text)
+        return values
 
     def _parse_call(self, cur: _Cursor, dst: Optional[str]) -> Call:
         cur.expect("ident", "call")
@@ -622,15 +529,21 @@ class _Parser:
                 method = self._var(cur, "method name")
             else:
                 method = name
+        args = self._names(cur, lambda: self._var(cur, "argument variable"))
+        return Call(dst=dst, cls=cls, method=method, args=args)
+
+    @staticmethod
+    def _names(cur: _Cursor, read) -> tuple[str, ...]:
+        """A parenthesized, comma-separated list, each item read by ``read``."""
         cur.expect("punct", "(")
-        args: list[str] = []
+        names: list[str] = []
         if not cur.accept("punct", ")"):
             while True:
-                args.append(self._var(cur, "argument variable"))
+                names.append(read())
                 if cur.accept("punct", ")"):
                     break
                 cur.expect("punct", ",")
-        return Call(dst=dst, cls=cls, method=method, args=tuple(args))
+        return tuple(names)
 
 
 # ---------------------------------------------------------------------------
@@ -656,37 +569,20 @@ def _fmt_callee(stmt: Call) -> str:
     return f"{_quote(stmt.cls)}.{stmt.method}"
 
 
+_FMT_FIELD = {"var": str, "kind": str, "op": _fmt_operand, "str": _quote}
+
+
 def _fmt_stmt(stmt: Stmt) -> str:
-    if isinstance(stmt, Assign):
+    keyword = STMT_KEYWORDS.get(type(stmt))
+    if keyword is not None:
+        form = STMT_FORMS[keyword]
+        body = " ".join([keyword] + [_FMT_FIELD[k](getattr(stmt, a)) for a, k, _ in form.fields])
+        if form.dst:
+            body = f"{stmt.dst} = {body}"
+    elif isinstance(stmt, Assign):
         body = f"{stmt.dst} = {stmt.src}"
     elif isinstance(stmt, Const):
         body = f"{stmt.dst} = {_quote(stmt.value)}"
-    elif isinstance(stmt, SourceCall):
-        body = f"{stmt.dst} = source {_quote(stmt.source)}"
-    elif isinstance(stmt, SinkCall):
-        body = f"sink {_quote(stmt.sink)} {stmt.var}"
-    elif isinstance(stmt, NewIntent):
-        body = f"{stmt.dst} = new_intent"
-    elif isinstance(stmt, SetTarget):
-        body = f"set_target {stmt.intent} {_fmt_operand(stmt.value)}"
-    elif isinstance(stmt, SetAction):
-        body = f"set_action {stmt.intent} {_fmt_operand(stmt.value)}"
-    elif isinstance(stmt, SetCategory):
-        body = f"set_category {stmt.intent} {_fmt_operand(stmt.value)}"
-    elif isinstance(stmt, SetDataType):
-        body = f"set_data_type {stmt.intent} {_fmt_operand(stmt.value)}"
-    elif isinstance(stmt, PutExtra):
-        body = f"put_extra {stmt.intent} {_fmt_operand(stmt.key)} {stmt.value}"
-    elif isinstance(stmt, GetExtra):
-        body = f"{stmt.dst} = get_extra {stmt.intent} {_fmt_operand(stmt.key)}"
-    elif isinstance(stmt, GetIntent):
-        body = f"{stmt.dst} = get_intent"
-    elif isinstance(stmt, SetResult):
-        body = f"set_result {stmt.intent}"
-    elif isinstance(stmt, Finish):
-        body = "finish"
-    elif isinstance(stmt, IccCall):
-        body = f"icc {stmt.kind} {stmt.intent}"
     elif isinstance(stmt, Call):
         args = ", ".join(stmt.args)
         call = f"call {_fmt_callee(stmt)}({args})"
@@ -695,8 +591,6 @@ def _fmt_stmt(stmt: Stmt) -> str:
         body = f"{stmt.obj}.{stmt.fld} = {stmt.src}"
     elif isinstance(stmt, FieldLoad):
         body = f"{stmt.dst} = {stmt.obj}.{stmt.fld}"
-    elif isinstance(stmt, NewObj):
-        body = f"{stmt.dst} = new_obj {_quote(stmt.cls)}"
     else:  # pragma: no cover - exhaustive over statement kinds
         raise TypeError(f"unknown statement {stmt!r}")
     if stmt.synthetic:
@@ -707,13 +601,8 @@ def _fmt_stmt(stmt: Stmt) -> str:
 
 
 def _fmt_filter(flt: IntentFilter) -> str:
-    parts = []
-    for action in sorted(flt.actions):
-        parts.append(f"action {_quote(action)};")
-    for cat in sorted(flt.categories):
-        parts.append(f"category {_quote(cat)};")
-    for dt in sorted(flt.data_types):
-        parts.append(f"data_type {_quote(dt)};")
+    entries = (("action", flt.actions), ("category", flt.categories), ("data_type", flt.data_types))
+    parts = [f"{key} {_quote(value)};" for key, values in entries for value in sorted(values)]
     inner = " ".join(parts)
     return f"filter {{ {inner} }}" if inner else "filter { }"
 
@@ -802,7 +691,11 @@ def corpus_files(root: str) -> list[str]:
 
 
 def load_corpus(paths: list[str]) -> tuple[list[AppModel], list[Diagnostic]]:
-    """Parse every `.cir` file under the given paths (files or directories)."""
+    """Parse every `.cir` file under the given paths (files or directories).
+
+    Two apps with one id (only the first is kept), or two apps declaring one
+    class (the same name of the same origin app), are errors.
+    """
     apps: list[AppModel] = []
     diags: list[Diagnostic] = []
     for root in paths:
@@ -814,4 +707,24 @@ def load_corpus(paths: list[str]) -> tuple[list[AppModel], list[Diagnostic]]:
             diags.extend(result.diagnostics)
             if result.app is not None:
                 apps.append(result.app)
-    return apps, diags
+    seen: dict[str, str] = {}
+    owner: dict[str, str] = {}  # qualified class name -> the app declaring it
+    unique: list[AppModel] = []
+    for app in apps:
+        if app.app_id in seen:
+            diags.append(
+                error(
+                    f"duplicate app id {app.app_id!r} "
+                    f"(already defined in {seen[app.app_id]})",
+                    app.source_path,
+                )
+            )
+            continue
+        seen[app.app_id] = app.source_path or "<input>"
+        unique.append(app)
+        for comp in app.components:
+            first = owner.setdefault(comp.qualified_name, app.app_id)
+            if first != app.app_id:
+                msg = f"class {comp.qualified_name!r} declared by apps {first!r} and {app.app_id!r}"
+                diags.append(error(msg, app.source_path))
+    return unique, diags

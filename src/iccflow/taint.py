@@ -725,24 +725,29 @@ def classify_path(
 
     IAC when statements span two origin apps, ICC when two components.
     Statements in plain helper classes (the synthesized ICC helper lives in
-    one) carry no app or component weight of their own. ``comp_of`` maps
-    (origin app, class name) to the model's component.
+    one) carry no app or component weight of their own; a path that lies
+    in no component names the origin apps of its non-synthetic classes.
+    ``comp_of`` maps (origin app, class name) to the model's component.
     """
     apps: set[str] = set()
+    class_apps: set[str] = set()
     comps: set[tuple[str, str]] = set()
     for sid in stmt_ids:
         comp = comp_of.get((sid.app, sid.cls))
-        if comp is None or not comp.kind.is_component:
+        if comp is None:
             continue
-        apps.add(comp.origin_app)
-        comps.add((comp.origin_app, comp.name))
+        if comp.kind.is_component:
+            apps.add(comp.origin_app)
+            comps.add((comp.origin_app, comp.name))
+        elif not comp.synthetic:
+            class_apps.add(comp.origin_app)
     if len(apps) >= 2:
         klass = "IAC"
     elif len(comps) >= 2:
         klass = "ICC"
     else:
         klass = "Intra"
-    return klass, tuple(sorted(apps))
+    return klass, tuple(sorted(apps or class_apps))
 
 
 def extract_paths(result: TaintResult, cfg: Cfg) -> list[TaintedPath]:

@@ -13,6 +13,7 @@ pairs, which is what the differential test checks.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -440,6 +441,68 @@ def gen_apps(seed: int) -> list[AppModel]:
     if total > 60:
         raise AssertionError(f"generator exceeded statement budget: {total}")
     return apps
+
+
+# Tokens a line mutation may insert: every statement keyword, punctuation, a
+# literal, plain names, characters the lexer rejects, and a bad escape and an
+# open quote for the string-literal diagnostics.
+_MUTANT_TOKENS = (
+    "sink source new_intent new_obj set_target set_action set_category "
+    "set_data_type put_extra get_extra get_intent set_result finish icc call "
+    "goto branch return synthetic start_activity bogus_kind x this b0 "
+    "= . ( ) , { } : ; @ $ ! 7"
+).split() + ['"s"', '"a\\q"', '"open', '"C".m']
+
+# Whole lines a mutation may put in place of another: one of each statement
+# form and terminator, so forms land where they are not legal, and a few
+# lines that break the rarer statement-parser rules.
+_MUTANT_LINES = (
+    'v = source "getDeviceId"', 'sink "writeLog" x', "i = new_intent",
+    'o = new_obj "Util"', 'set_action i "A"', "put_extra i k x",
+    'x = get_extra i "k"', "g = get_intent", "set_result i", "finish",
+    "icc start_activity_for_result i", "call m(x)", 'r = call "C".m(x, y)',
+    "this.f = x", "x = this.f", 'x = "c"', "x = y", "goto b9", "branch b0 b1",
+    "return x", "b1:", 'o = new_obj C', 'r = call "C" m(x)', "call m(x,)",
+    "x = y.", "x = source y",
+)
+
+_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[A-Za-z_][A-Za-z0-9_]*|\S')
+
+
+def mutate_line(line: str, rng: random.Random) -> str:
+    """One seeded token-level edit of a `.cir` line, indentation kept."""
+    indent = line[: len(line) - len(line.lstrip())]
+    toks = _TOKEN_RE.findall(line)
+    op = rng.randrange(7) if toks else 4
+    i = rng.randrange(len(toks)) if toks else 0
+    if op == 0:
+        del toks[i]
+    elif op == 1:
+        toks.insert(i, toks[i])
+    elif op == 2 and len(toks) > 1:
+        i = min(i, len(toks) - 2)
+        toks[i], toks[i + 1] = toks[i + 1], toks[i]
+    elif op == 3:
+        toks[i] = rng.choice(_MUTANT_TOKENS)
+    elif op == 4:
+        toks.insert(i, rng.choice(_MUTANT_TOKENS))
+    elif op == 5:
+        toks = [rng.choice(_MUTANT_LINES)]
+    else:  # op 6, or a swap on a one-token line: cut the line before token i
+        toks = toks[:i]
+    return indent + " ".join(toks)
+
+
+def line_mutations(texts: list[str], count: int, seed: int) -> list[str]:
+    """``count`` texts, each one of ``texts`` with one line mutated."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        lines = rng.choice(texts).splitlines()
+        i = rng.randrange(len(lines))
+        lines[i] = mutate_line(lines[i], rng)
+        out.append("\n".join(lines) + "\n")
+    return out
 
 
 if __name__ == "__main__":

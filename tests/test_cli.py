@@ -267,6 +267,34 @@ def test_two_apps_declaring_one_class_is_an_error(corpus, command):
     assert f"{corpus / 'b.cir'}: error: class 'Z/Main' declared by apps 'A' and 'B'" in proc.stderr
 
 
+def test_bench_case_whose_apps_declare_one_class_is_invalid(corpus, capsys, tmp_path):
+    case = tmp_path / "cases" / "twice"
+    case.mkdir(parents=True)
+    tagged = SENDS_AS_Z.replace('x = source "getDeviceId"', 'x = source "getDeviceId"  # @tag s')
+    (case / "a.cir").write_text(tagged, encoding="utf-8")
+    tagged = READS_AS_Z.replace('sink "writeLog" v', 'sink "writeLog" v  # @tag k')
+    (case / "b.cir").write_text(tagged, encoding="utf-8")
+    (case / "truth").write_text("leak s k\n", encoding="utf-8")
+    code, out, err = _run(capsys, "bench", str(case.parent), "--config", str(corpus / "rules.conf"))
+    assert code == 1
+    assert out.splitlines()[1].split()[:2] == ["twice", "invalid"]
+    assert f"{case / 'b.cir'}: error: class 'Z/Main' declared by apps 'A' and 'B'" in err.splitlines()
+
+
+@pytest.mark.parametrize("fmt, line", [
+    ("text", "[Intra] getLocation @ WBoot/Boot/main/b0/0 -> sendToUrl @ WBoot/Boot/main/b0/2"
+             " (3 stmts, apps: WBoot)"),
+    ("tsv", "Intra\tWBoot/Boot/main/b0/0\tWBoot/Boot/main/b0/2\t3\tWBoot"),
+], ids=["text", "tsv"])
+def test_a_leak_in_a_plain_class_names_its_app(capsys, repo_root, fmt, line):
+    code, out, _ = _run(
+        capsys, "analyze", str(repo_root / "corpus" / "warnings"),
+        "--config", str(repo_root / "corpus" / "sources_sinks.conf"), "--format", fmt,
+    )
+    assert code == 1  # the corpus calls unknown methods on purpose
+    assert line in out.splitlines()
+
+
 @pytest.mark.parametrize("command", ["analyze", "bench"])
 def test_non_utf8_config_is_an_error(corpus, command):
     conf = corpus / "bad.conf"

@@ -1,11 +1,39 @@
+import dataclasses
+
+import pytest
+
 from iccflow.ir import (
     ICC_KINDS,
     LIFECYCLE_SLOTS,
     PROVIDER_ICC_KINDS,
     RESERVED_CLASSES,
     RESERVED_METHODS,
+    STMT_FORMS,
+    Assign,
+    Call,
     ComponentKind,
+    Const,
+    FieldLoad,
+    FieldStore,
+    Finish,
+    GetExtra,
+    GetIntent,
+    IccCall,
+    Lit,
+    NewIntent,
+    NewObj,
+    PutExtra,
+    SetAction,
+    SetCategory,
+    SetDataType,
+    SetResult,
+    SetTarget,
+    SinkCall,
+    SourceCall,
+    Stmt,
     StmtId,
+    Var,
+    _stmt_uses,
     validate,
 )
 from iccflow.parser import parse_app
@@ -143,3 +171,45 @@ app "A" {
     )
     assert not r.ok
     assert any("no action" in d.message for d in r.diagnostics)
+
+
+USES = [
+    (Assign(dst="a", src="b"), ["b"]),
+    (Const(dst="a", value="c"), []),
+    (SourceCall(dst="a", source="getDeviceId"), []),
+    (SinkCall(sink="writeLog", var="v"), ["v"]),
+    (NewIntent(dst="i"), []),
+    (SetTarget(intent="i", value=Var("t")), ["i", "t"]),
+    (SetAction(intent="i", value=Lit("A")), ["i"]),
+    (SetCategory(intent="i", value=Var("c")), ["i", "c"]),
+    (SetDataType(intent="i", value=Lit("text/plain")), ["i"]),
+    (PutExtra(intent="i", key=Var("k"), value="v"), ["i", "k", "v"]),
+    (PutExtra(intent="i", key=Lit("k"), value="v"), ["i", "v"]),
+    (GetExtra(dst="e", intent="i", key=Var("k")), ["i", "k"]),
+    (GetExtra(dst="e", intent="i", key=Lit("k")), ["i"]),
+    (GetIntent(dst="g"), []),
+    (SetResult(intent="i"), ["i"]),
+    (Finish(), []),
+    (IccCall(kind="start_activity", intent="i"), ["i"]),
+    (Call(dst="r", cls="C", method="m", args=("a", "b")), ["a", "b"]),
+    (Call(method="m"), []),
+    (FieldStore(obj="o", fld="f", src="s"), ["o", "s"]),
+    (FieldLoad(dst="d", obj="o", fld="f"), ["o"]),
+    (NewObj(dst="o", cls="Util"), []),
+]
+
+
+@pytest.mark.parametrize("stmt, uses", USES, ids=[type(stmt).__name__ for stmt, _ in USES])
+def test_stmt_uses(stmt, uses):
+    assert _stmt_uses(stmt) == uses
+
+
+def test_stmt_uses_cases_cover_every_statement_class():
+    assert {type(stmt) for stmt, _ in USES} == set(Stmt.__subclasses__())
+
+
+def test_stmt_forms_list_each_class_field_in_order():
+    # the parser builds a form's statement from its field values by position
+    for form in STMT_FORMS.values():
+        names = [f.name for f in dataclasses.fields(form.cls) if not f.kw_only]
+        assert names == ["dst"] * form.dst + [attr for attr, _, _ in form.fields]

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import progen
+from iccflow.ir import STMT_FORMS
 from iccflow.parser import corpus_files, load_app, load_corpus, parse_app, serialize_app
 
 GOOD = """
@@ -89,6 +91,40 @@ def test_round_trip_of_shipped_corpus(corpus_root):
         assert serialize_app(again.app) == serialize_app(r.app)
 
 
+# One canonical line per STMT_FORMS entry, with every field kind and escape.
+FORM_LINES = {
+    "sink": 'sink "say \\"hi\\"\\n\\t\\\\" v',
+    "set_target": 'set_target i "Other"',
+    "set_action": "set_action i v",
+    "set_category": 'set_category i "C"',
+    "set_data_type": 'set_data_type i "text/plain"',
+    "put_extra": 'put_extra i "k" v',
+    "set_result": "set_result i",
+    "finish": "finish",
+    "icc": "icc start_activity_for_result i",
+    "source": 'w = source "getDeviceId"',
+    "new_intent": "j = new_intent",
+    "new_obj": 'o = new_obj "Util"',
+    "get_intent": "g = get_intent",
+    "get_extra": "e = get_extra g k",
+}
+
+
+def test_every_statement_form_round_trips():
+    assert FORM_LINES.keys() == STMT_FORMS.keys()
+    body = "".join(f"        {line}\n" for line in FORM_LINES.values())
+    text = (
+        'app "A" {\n  component activity Main {\n    method onCreate(this, i, v, k) {\n'
+        f"      b0:\n{body}    }}\n  }}\n}}\n"
+    )
+    first = parse_app(text)
+    assert first.ok, [str(d) for d in first.diagnostics]
+    stmts = first.app.component("Main").lifecycle["onCreate"].entry.stmts
+    assert [type(s) for s in stmts] == [form.cls for form in STMT_FORMS.values()]
+    assert serialize_app(first.app) == text
+    assert parse_app(serialize_app(first.app)).app == first.app
+
+
 def test_load_corpus_reports_errors_with_positions(tmp_path):
     bad = tmp_path / "bad.cir"
     bad.write_text('app "X" {\n  component activity A {\n    method onCreate(this) {\n      zap qux\n    }\n  }\n}\n')
@@ -171,3 +207,54 @@ def test_corpus_files_finds_cir_recursively(tmp_path):
     names = [Path(p).name for p in found]
     assert names == sorted(names)
     assert set(names) == {"a.cir", "b.cir"}
+
+
+GOLDEN = Path(__file__).parent / "golden" / "parse_mutations.txt"
+
+# The head of every diagnostic the lexer and the statement parser can emit.
+PARSER_DIAGNOSTICS = (
+    "unexpected character", "bad string escape", "unterminated string literal",
+    "expected a statement", "expected statement", "expected '='",
+    "expected an expression after '='", "expected variable name",
+    "expected field name", "expected value variable", "expected intent variable",
+    "expected attribute value (variable or string literal)",
+    "expected extra key (variable or string literal)", "expected sink name string",
+    "expected source name string", "expected class name string",
+    "expected icc kind", "unknown icc kind", "expected '.'", "expected method name",
+    "expected (", "expected argument variable", "expected ,",
+    "trailing tokens on line", "statement after terminator needs a block label",
+    "expected block label",
+)
+
+
+def mutation_inputs(repo: Path) -> list[str]:
+    """300 seeded line mutations of the shipped corpus and progen seeds 0-9."""
+    texts = [Path(p).read_text(encoding="utf-8") for p in corpus_files(str(repo / "corpus"))]
+    texts += [text for seed in range(10) for text in progen.gen_corpus(seed)]
+    return progen.line_mutations(texts, 300, seed=12)
+
+
+def parse_dump(texts: list[str]) -> str:
+    """Each input's diagnostics and a digest of its serialized model.
+
+    Regenerate the golden file with
+    ``PYTHONPATH=src:tests python -c "import test_parser as t; from pathlib import Path;
+    print(t.parse_dump(t.mutation_inputs(Path('.'))), end='')" > tests/golden/parse_mutations.txt``.
+    """
+    out = []
+    for n, text in enumerate(texts):
+        r = parse_app(text)
+        digest = hashlib.sha256(serialize_app(r.app).encode()).hexdigest()[:16] if r.ok else "-"
+        out.append(f"input {n} model {digest}")
+        out += [f"  {d.line}:{d.column} {d.severity}: {d.message}" for d in r.diagnostics]
+    return "\n".join(out) + "\n"
+
+
+def test_parse_of_line_mutations_matches_golden(repo_root):
+    assert parse_dump(mutation_inputs(repo_root)) == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_golden_mutations_cover_every_parser_diagnostic():
+    messages = [line.split(": ", 1)[1] for line in GOLDEN.read_text().splitlines()
+                if line.startswith("  ")]
+    assert [h for h in PARSER_DIAGNOSTICS if not any(m.startswith(h) for m in messages)] == []
