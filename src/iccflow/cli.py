@@ -17,7 +17,7 @@ from .combine import build_iac_graph, split_graph
 from .icc import links_by_app, match_links, resolve_corpus
 from .instrument import InstrumentError, instrument_model
 from .ir import AppModel, Diagnostic
-from .parser import corpus_files, load_corpus, serialize_app
+from .parser import load_corpus, serialize_app
 from .taint import SourceSinkConfig, analyze, load_config, render_report
 
 
@@ -32,14 +32,7 @@ def _print_diags(diags: list[Diagnostic]) -> None:
 
 def _load_models(paths: list[str]) -> list[AppModel]:
     """Load the inputs and print their diagnostics; fail on any error."""
-    files: list[str] = []
-    for p in paths:
-        if os.path.isdir(p):
-            files.extend(corpus_files(p))
-        else:
-            files.append(p)
-    files = sorted(dict.fromkeys(files))
-    apps, diags = load_corpus(files)
+    apps, diags = load_corpus(paths)
     _print_diags(diags)
     if any(d.severity == "error" for d in diags):
         raise _Failed

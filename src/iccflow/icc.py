@@ -23,16 +23,13 @@ from typing import Iterable, Optional, Union
 from .ir import (
     AppModel,
     Assign,
-    Branch,
     Call,
     Component,
     ComponentKind,
     Const,
     Diagnostic,
-    Fallthrough,
     GetExtra,
     GetIntent,
-    Goto,
     ICC_KINDS,
     IccCall,
     Method,
@@ -296,21 +293,11 @@ def _analyze_method(method: Method, init_env: dict, sink: _ValueSink) -> None:
     while work:
         label = work.popleft()
         queued.discard(label)
-        block = method.blocks[position[label]]
+        idx = position[label]
         env = dict(in_envs[label])
-        for stmt in block.stmts:
+        for stmt in method.blocks[idx].stmts:
             _apply_stmt(stmt, env, sink)
-        term = block.term
-        succs: list[str] = []
-        if isinstance(term, Goto):
-            succs = [term.label]
-        elif isinstance(term, Branch):
-            succs = [term.left, term.right]
-        elif isinstance(term, Fallthrough):
-            idx = position[label] + 1
-            if idx < len(method.blocks):
-                succs = [method.blocks[idx].label]
-        for succ in succs:
+        for succ in method.successors(idx):
             if succ not in position:
                 continue
             if succ in in_envs:

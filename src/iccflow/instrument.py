@@ -105,28 +105,26 @@ def _invoke(method: Method, out: list[Stmt], counter: list[int]) -> None:
     out.append(_call(method.name, tuple(args)))
 
 
-def _loop_blocks(options: list[Method], exit_label: str, counter: list[int]) -> list[Block]:
-    """A loop head with a nondeterministic choice among all options (or exit).
+def _choose(first: Block, labels: list[str], prefix: str) -> list[Block]:
+    """End ``first`` in a nondeterministic choice among two or more labels,
+    encoded as a chain of two-way branches: ``first`` and each chooser take
+    one label or the next chooser. Returns the choosers ``<prefix>i``."""
+    choosers = [Block(f"{prefix}{i}") for i in range(len(labels) - 2)]
+    for i, block in enumerate([first] + choosers):
+        rest = choosers[i].label if i < len(choosers) else labels[-1]
+        block.term = Branch(labels[i], rest)
+    return choosers
 
-    Encoded with two-way branches: the head chooses exit or the chooser
-    chain, each chooser picks one option's block, and every option block
-    jumps back to the head.
-    """
-    k = len(options)
+
+def _loop_blocks(options: list[Method], exit_label: str, counter: list[int]) -> list[Block]:
+    """A loop head choosing exit or one option's block; every option block
+    jumps back to the head."""
     head = Block("dm_loop")
-    blocks = [head]
-    do_labels = [f"dm_do{i}" for i in range(k)]
-    if k == 1:
-        head.term = Branch(exit_label, do_labels[0])
-    else:
-        head.term = Branch(exit_label, "dm_c0")
-        for i in range(k - 1):
-            nxt = f"dm_c{i + 1}" if i < k - 2 else do_labels[k - 1]
-            blocks.append(Block(f"dm_c{i}", [], Branch(do_labels[i], nxt)))
-    for i, option in enumerate(options):
-        stmts: list[Stmt] = []
-        _invoke(option, stmts, counter)
-        blocks.append(Block(do_labels[i], stmts, Goto("dm_loop")))
+    do_labels = [f"dm_do{i}" for i in range(len(options))]
+    blocks = [head] + _choose(head, [exit_label] + do_labels, "dm_c")
+    for label, option in zip(do_labels, options):
+        blocks.append(Block(label, [], Goto("dm_loop")))
+        _invoke(option, blocks[-1].stmts, counter)
     return blocks
 
 
@@ -302,20 +300,10 @@ def _replace_site(
     del block.stmts[index:]
     cont = Block(f"icc{site}_cont", tail, tail_term)
     r_labels = [f"icc{site}_r{i}" for i in range(len(calls))]
-    new_blocks: list[Block] = []
-    k = len(calls)
-    if k == 2:
-        block.term = Branch(r_labels[0], r_labels[1])
-    else:
-        block.term = Branch(r_labels[0], f"icc{site}_c0")
-        for i in range(k - 2):
-            right = f"icc{site}_c{i + 1}" if i + 1 <= k - 3 else r_labels[k - 1]
-            new_blocks.append(Block(f"icc{site}_c{i}", [], Branch(r_labels[i + 1], right)))
+    new_blocks = _choose(block, r_labels, f"icc{site}_c")
     for i, call in enumerate(calls):
         call.synthetic = True
-        call.sid = StmtId(
-            old.sid.app, old.sid.cls, old.sid.method, r_labels[i], 0
-        )
+        call.sid = old.sid._replace(block=r_labels[i], index=0)
         new_blocks.append(Block(r_labels[i], [call], Goto(cont.label)))
     pos = method.blocks.index(block) + 1
     method.blocks[pos:pos] = new_blocks + [cont]

@@ -338,6 +338,18 @@ class Method:
                 return b
         return None
 
+    def successors(self, idx: int) -> list[str]:
+        """Labels control may reach after block ``idx``: none when it returns
+        or falls off the method's end, else its targets in branch order."""
+        term = self.blocks[idx].term
+        if isinstance(term, Goto):
+            return [term.label]
+        if isinstance(term, Branch):
+            return [term.left, term.right]
+        if isinstance(term, Fallthrough) and idx + 1 < len(self.blocks):
+            return [self.blocks[idx + 1].label]
+        return []
+
 
 @dataclass
 class IntentFilter:
@@ -555,7 +567,7 @@ def _validate_method(
             declared.update(_stmt_defs(stmt))
 
     in_component_method = _is_component_method(comp, method)
-    for block in method.blocks:
+    for idx, block in enumerate(method.blocks):
         for stmt in block.stmts:
             loc = f"{where} [{stmt.sid}]" if stmt.sid else where
             for used in _stmt_uses(stmt):
@@ -587,17 +599,12 @@ def _validate_method(
                 diags.append(error(f"{loc}: unknown icc kind {stmt.kind!r}", path))
 
         term = block.term
-        targets: list[str] = []
-        if isinstance(term, Goto):
-            targets = [term.label]
-        elif isinstance(term, Branch):
-            targets = [term.left, term.right]
-        elif isinstance(term, Return) and term.var is not None:
+        if isinstance(term, Return) and term.var is not None:
             if term.var not in declared:
                 diags.append(
                     error(f"{where}: return of undeclared variable {term.var!r}", path)
                 )
-        for t in targets:
+        for t in method.successors(idx):
             if t not in labels:
                 diags.append(error(f"{where}: branch target {t!r} names no block", path))
 

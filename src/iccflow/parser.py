@@ -691,18 +691,21 @@ def corpus_files(root: str) -> list[str]:
 
 
 def load_corpus(paths: list[str]) -> tuple[list[AppModel], list[Diagnostic]]:
-    """Parse every `.cir` file under the given paths (files or directories).
-
-    Two apps with one id (only the first is kept), or two apps declaring one
-    class (the same name of the same origin app), are errors.
+    """Parse each `.cir` file under the given paths (files or directories)
+    once, in sorted order. A path with none under it, two apps with one id
+    (only the first is kept), or two apps declaring one class (the same name
+    of the same origin app), are errors.
     """
-    apps: list[AppModel] = []
-    diags: list[Diagnostic] = []
+    found: dict[str, bool] = {}  # file, or path with no file under it
     for root in paths:
         files = corpus_files(root)
-        if not files:
-            diags.append(error(f"no .cir files under {root!r}", root))
-        for file in files:
+        found.update(dict.fromkeys(files, True) if files else {root: False})
+    apps: list[AppModel] = []
+    diags: list[Diagnostic] = []
+    for file in sorted(found):
+        if not found[file]:
+            diags.append(error(f"no .cir files under {file!r}", file))
+        else:
             result = load_app(file)
             diags.extend(result.diagnostics)
             if result.app is not None:

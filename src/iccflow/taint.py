@@ -30,10 +30,8 @@ from .ir import (
     Component,
     Const,
     Diagnostic,
-    Fallthrough,
     FieldLoad,
     FieldStore,
-    Goto,
     StmtId,
     GetExtra,
     IccCall,
@@ -126,19 +124,18 @@ class Cfg:
     calls: dict[StmtId, CallInfo] = field(default_factory=dict)
     retvar: dict[tuple[MethodKey, str], Optional[str]] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    live: dict[tuple[frozenset, frozenset], set[MethodKey]] = field(default_factory=dict)
 
     def add_edge(self, a: Node, b: Node) -> None:
         self.succ.setdefault(a, []).append((b, "normal"))
 
 
-def _effective_term(method: Method, idx: int):
-    block = method.blocks[idx]
-    term = block.term
-    if isinstance(term, Fallthrough):
-        if idx + 1 < len(method.blocks):
-            return Goto(method.blocks[idx + 1].label)
-        return Return()
-    return term
+def _join(parts: Iterable[list[Node]]) -> list[Node]:
+    """The nodes of ``parts``, left part first, each once."""
+    out: list[Node] = []
+    for part in parts:
+        out += [n for n in part if n not in out]
+    return out
 
 
 class _MethodShape:
@@ -161,17 +158,14 @@ class _MethodShape:
             return self._first[label]
         guard: set[str] = set()
         results: list[list[Node]] = []
-        # ("enter", label) visits a block; ("goto"/"branch", label) combines
-        # the results its successors left on top of ``results``.
-        stack: list[tuple[str, str]] = [("enter", label)]
+        # (label, 0) visits a block; (label, n) joins the results its n
+        # successors left on top of ``results``.
+        stack: list[tuple[str, int]] = [(label, 0)]
         while stack:
-            op, lbl = stack.pop()
-            if op == "goto":
-                out = results.pop()
-            elif op == "branch":
-                right = results.pop()
-                left = results.pop()
-                out = left + [n for n in right if n not in left]
+            lbl, n = stack.pop()
+            if n:
+                out = _join(results[-n:])
+                del results[-n:]
             elif lbl in self._first:
                 results.append(self._first[lbl])
                 continue
@@ -182,31 +176,18 @@ class _MethodShape:
                 guard.add(lbl)
                 idx = self.index[lbl]
                 block = self.method.blocks[idx]
-                term = _effective_term(self.method, idx)
+                succs = self.method.successors(idx)
                 if block.stmts:
                     out = [("stmt", block.stmts[0].sid)]
-                elif isinstance(term, Return):
+                elif not succs:
                     out = [("retval", (self.mk, lbl))]
-                elif isinstance(term, Goto):
-                    stack += [("goto", lbl), ("enter", term.label)]
-                    continue
-                else:  # Branch
-                    stack += [("branch", lbl), ("enter", term.right), ("enter", term.left)]
+                else:
+                    stack.append((lbl, len(succs)))
+                    stack += [(s, 0) for s in reversed(succs)]
                     continue
             self._first[lbl] = out
             results.append(out)
         return results.pop()
-
-    def term_targets(self, idx: int) -> list[Node]:
-        term = _effective_term(self.method, idx)
-        label = self.method.blocks[idx].label
-        if isinstance(term, Return):
-            return [("retval", (self.mk, label))]
-        if isinstance(term, Goto):
-            return self.first_real(term.label)
-        left = self.first_real(term.left)
-        right = self.first_real(term.right)
-        return left + [n for n in right if n not in left]
 
 
 def _resolve_callee(
@@ -345,13 +326,15 @@ def build_cfg(
             for n in shape.first_real(method.blocks[0].label):
                 cfg.add_edge(entry, n)
         for i, block in enumerate(method.blocks):
-            term = _effective_term(method, i)
-            if isinstance(term, Return):
+            succs = method.successors(i)
+            if succs:
+                targets = _join(shape.first_real(s) for s in succs)
+            else:
                 rv: Node = ("retval", (mk, block.label))
-                cfg.retvar[(mk, block.label)] = term.var
+                cfg.retvar[(mk, block.label)] = getattr(block.term, "var", None)
                 cfg.add_edge(rv, exit_)
+                targets = [rv]
             nodes = [("stmt", s.sid) for s in block.stmts]
-            targets = shape.term_targets(i)
             for j, n in enumerate(nodes):
                 # a call's edges leave its return site
                 tail = ("ret", n[1]) if n[1] in cfg.calls else n
@@ -373,16 +356,20 @@ def _closure(todo: list[MethodKey], edges: dict[MethodKey, list[MethodKey]]) -> 
 
 def _live(cfg: Cfg, sources: frozenset[str], skip: frozenset[StmtId]) -> set[MethodKey]:
     """Methods from whose entry a live source (configured, not in ``skip``)
-    can be reached through calls; a statement id names its method."""
-    todo = [
-        sid.method_key
-        for sid, stmt in cfg.stmts.items()
-        if type(stmt) is SourceCall and stmt.source in sources and sid not in skip
-    ]
-    callers: dict[MethodKey, list[MethodKey]] = {}
-    for sid, info in cfg.calls.items() if todo else ():
-        callers.setdefault(info.callee, []).append(sid.method_key)
-    return _closure(todo, callers)
+    can be reached through calls; a statement id names its method. Kept in
+    ``cfg.live``, so ``propagate`` reuses the set ``build_cfg`` scoped by."""
+    key = (sources, skip)
+    if key not in cfg.live:
+        todo = [
+            sid.method_key
+            for sid, stmt in cfg.stmts.items()
+            if type(stmt) is SourceCall and stmt.source in sources and sid not in skip
+        ]
+        callers: dict[MethodKey, list[MethodKey]] = {}
+        for sid, info in cfg.calls.items() if todo else ():
+            callers.setdefault(info.callee, []).append(sid.method_key)
+        cfg.live[key] = _closure(todo, callers)
+    return cfg.live[key]
 
 
 # ---------------------------------------------------------------------------

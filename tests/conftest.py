@@ -4,10 +4,10 @@ from pathlib import Path
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-if str(TESTS) not in sys.path:
-    sys.path.insert(0, str(TESTS))
-
 REPO = TESTS.parent
+for _path in (TESTS, REPO / "src"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 
 @pytest.fixture(scope="session")

@@ -202,6 +202,25 @@ def _fails_cleanly(path, *args):
     assert "error: " in proc.stderr and str(path) in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["check", "analyze"])
+def test_a_directory_without_cir_files_is_an_error(corpus, capsys, command):
+    empty = corpus / "empty"
+    empty.mkdir()
+    args = ["--config", str(corpus / "rules.conf")] if command == "analyze" else []
+    code, out, err = _run(capsys, command, str(empty), *args)
+    assert (code, out) == (1, "")
+    assert err == f"{empty}: error: no .cir files under {str(empty)!r}\n"
+
+
+def test_inputs_load_once_in_sorted_order_with_their_diagnostics(corpus, capsys):
+    (corpus / "b").mkdir()
+    paths = [corpus / "z", corpus, corpus / "a.cir", corpus / "b"]
+    code, out, err = _run(capsys, "check", *map(str, paths))
+    assert (code, out) == (1, "")
+    want = [corpus / "b", corpus / "z"]
+    assert err.splitlines() == [f"{p}: error: no .cir files under {str(p)!r}" for p in want]
+
+
 def test_non_utf8_input_is_a_diagnostic(corpus):
     bad = corpus / "bad.cir"
     bad.write_bytes(b"\xff\xfeapp")

@@ -496,3 +496,56 @@ def test_golden_contains_the_expected_artifacts():
     assert "redirect0" in text and "redirect1" in text
     assert INTENT_FIELD in text and RESULT_FIELD in text
     assert text.count("method dummyMain") == 3  # one driver per component
+
+
+def _layout(method):
+    """Each block of the method as ``label: terminator``, in block order."""
+
+    def term(t):
+        if isinstance(t, Goto):
+            return f"goto {t.label}"
+        if isinstance(t, Branch):
+            return f"branch {t.left} {t.right}"
+        return "return" if isinstance(t, Return) else "fallthrough"
+
+    return [f"{b.label}: {term(b.term)}" for b in method.blocks]
+
+
+LOOP = "dm_loop: branch dm_exit"
+DO = [f"dm_do{i}: goto dm_loop" for i in range(4)]
+
+
+@pytest.mark.parametrize("n, chain", [
+    (1, [f"{LOOP} dm_do0"]),
+    (2, [f"{LOOP} dm_c0", "dm_c0: branch dm_do0 dm_do1"]),
+    (3, [f"{LOOP} dm_c0", "dm_c0: branch dm_do0 dm_c1", "dm_c1: branch dm_do1 dm_do2"]),
+    (4, [f"{LOOP} dm_c0", "dm_c0: branch dm_do0 dm_c1", "dm_c1: branch dm_do1 dm_c2",
+         "dm_c2: branch dm_do2 dm_do3"]),
+])
+def test_dummy_main_chooses_among_its_options_through_a_branch_chain(n, chain):
+    callbacks = "".join(f"    callback on{i}(this) {{\n      finish\n    }}\n" for i in range(n))
+    app = _app(f'app "A" {{\n  component activity Main {{\n{callbacks}  }}\n}}\n')
+    dm = synthesize_dummy_main(app.component("Main"))
+    assert _layout(dm) == ["dm0: goto dm_loop", *chain, *DO[:n], "dm_exit: return"]
+    for i in range(n):
+        (call,) = dm.block(f"dm_do{i}").stmts
+        assert isinstance(call, Call) and call.method == f"on{i}"
+
+
+@pytest.mark.parametrize("n, chain", [
+    (2, ["b0: branch icc0_r0 icc0_r1"]),
+    (3, ["b0: branch icc0_r0 icc0_c0", "icc0_c0: branch icc0_r1 icc0_r2"]),
+    (4, ["b0: branch icc0_r0 icc0_c0", "icc0_c0: branch icc0_r1 icc0_c1",
+         "icc0_c1: branch icc0_r2 icc0_r3"]),
+])
+def test_fanout_chooses_among_its_redirects_through_a_branch_chain(n, chain):
+    receivers = "".join(
+        f'  component receiver R{i} {{\n    filter {{ action "PING"; }}\n  }}\n' for i in range(n)
+    )
+    app = _app(FAN[: FAN.index("  component receiver R1")] + receivers + "}\n")
+    method = instrument_model(app, _resolve(app)).component("Main").lifecycle["onCreate"]
+    redirects = [f"icc0_r{i}: goto icc0_cont" for i in range(n)]
+    assert _layout(method) == [*chain, *redirects, "icc0_cont: fallthrough"]
+    for i in range(n):
+        (call,) = method.block(f"icc0_r{i}").stmts
+        assert isinstance(call, Call) and call.method == f"redirect{i}"

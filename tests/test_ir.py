@@ -10,19 +10,25 @@ from iccflow.ir import (
     RESERVED_METHODS,
     STMT_FORMS,
     Assign,
+    Block,
+    Branch,
     Call,
     ComponentKind,
     Const,
+    Fallthrough,
     FieldLoad,
     FieldStore,
     Finish,
     GetExtra,
     GetIntent,
+    Goto,
     IccCall,
     Lit,
+    Method,
     NewIntent,
     NewObj,
     PutExtra,
+    Return,
     SetAction,
     SetCategory,
     SetDataType,
@@ -213,3 +219,21 @@ def test_stmt_forms_list_each_class_field_in_order():
     for form in STMT_FORMS.values():
         names = [f.name for f in dataclasses.fields(form.cls) if not f.kw_only]
         assert names == ["dst"] * form.dst + [attr for attr, _, _ in form.fields]
+
+
+@pytest.mark.parametrize("terms, idx, want", [
+    ((Goto("b1"), Return()), 0, ["b1"]),
+    ((Branch("b1", "b0"), Return()), 0, ["b1", "b0"]),
+    ((Return("x"), Return()), 0, []),
+    ((Fallthrough(), Return()), 0, ["b1"]),
+    ((Goto("b1"), Fallthrough()), 1, []),
+])
+def test_successors_per_terminator(terms, idx, want):
+    method = Method("m", blocks=[Block(f"b{i}", [], t) for i, t in enumerate(terms)])
+    assert method.successors(idx) == want
+
+
+def test_validate_checks_every_branch_target():
+    text = APP.replace("icc start_activity i", "icc start_activity i\n      branch b0 nowhere")
+    diags = parse_app(text).diagnostics
+    assert [d.message for d in diags] == ["Main.onCreate: branch target 'nowhere' names no block"]

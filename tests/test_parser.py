@@ -133,6 +133,18 @@ def test_load_corpus_reports_errors_with_positions(tmp_path):
     assert any(d.severity == "error" and d.line == 4 for d in diags)
 
 
+def test_load_corpus_loads_each_file_once_in_sorted_order(tmp_path):
+    (tmp_path / "z").mkdir()
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "z" / "a.cir").write_text('app "ZA" {\n}\n')
+    (tmp_path / "b.cir").write_text('app "B" {\n}\n')
+    paths = [tmp_path / "missing", tmp_path / "b.cir", tmp_path, tmp_path / "empty"]
+    apps, diags = load_corpus([str(p) for p in paths])
+    assert [a.app_id for a in apps] == ["B", "ZA"]
+    empty = [str(tmp_path / "empty"), str(tmp_path / "missing")]
+    assert [(d.file, d.message) for d in diags] == [(p, f"no .cir files under {p!r}") for p in empty]
+
+
 def test_unterminated_app_is_an_error():
     r = parse_app('app "X" {\n  component activity A {\n')
     assert not r.ok
