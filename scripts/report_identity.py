@@ -18,9 +18,11 @@ statement list, printed by ``WITNESSES`` in-process against each
 checkout's ``src``, on ``dense``, ``sparse`` and ``widen`` seed 1 and on
 ``corpus/bench`` at ``--max-len 3``. ``PARSES`` does the same for the
 parser: the diagnostics and serialized model of every ``corpus/`` file,
-every ``progen`` corpus of seeds 0-59, and 2,000 seeded line mutations of
-them (``progen.line_mutations``). Prints one line per case and exits 1 if
-any case differs.
+every ``progen`` corpus of seeds 0-59, 2,000 seeded line mutations of
+them (``progen.line_mutations``), and every file of the three seed-1
+workload corpora, so a parse that ``analyze`` does not show, such as a
+lost ``synthetic`` flag or tag, differs too. Prints one line per case and
+exits 1 if any case differs.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ def cases(head: Path, work: Path) -> list[tuple[str, list[str]]]:
             if seed == 1:
                 snippets.append((f"{name} seed {seed} witnesses",
                                  [WITNESSES, str(corpus), str(max_len), config]))
+                snippets.append((f"{name} seed {seed} parse", [PARSES, str(corpus)]))
     bench = str(head / "corpus" / "bench")
     snippets.append(("corpus/bench max-len 3 witnesses", [WITNESSES, bench, "3", config]))
     for max_len in (2, 3, 4):

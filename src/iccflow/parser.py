@@ -16,11 +16,10 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .ir import (
     STMT_FORMS,
-    STMT_KEYWORDS,
     AppModel,
     Assign,
     Block,
@@ -68,6 +67,35 @@ _ESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
+def _intent_filter(entries) -> IntentFilter:
+    """The filter of ``(key, value)`` entries; a key is action, category or data_type."""
+    values: dict[str, set[str]] = {"action": set(), "category": set(), "data_type": set()}
+    for key, value in entries:
+        values[key].add(value)
+    return IntentFilter(*(frozenset(v) for v in values.values()))
+
+
+def _unquote(literal: str) -> str:
+    """The value of a closed string literal."""
+    body = literal[1:-1]
+    return _ESCAPE_RE.sub(lambda e: _ESCAPES[e.group(1)], body) if "\\" in body else body
+
+
+def _quote(text: str) -> str:
+    out = text.replace("\\", "\\\\").replace('"', '\\"')
+    out = out.replace("\n", "\\n").replace("\t", "\\t")
+    return f'"{out}"'
+
+
+def _fmt_operand(op: Operand) -> str:
+    return _quote(op.text) if op.is_literal else op.text
+
+
+def _tag(comment: Optional[str]) -> Optional[str]:
+    m = _TAG_RE.search(comment) if comment else None
+    return m.group(1) if m else None
+
+
 @dataclass
 class Token:
     kind: str  # "ident" | "string" | "punct" | "end"
@@ -75,16 +103,16 @@ class Token:
     col: int
 
 
-@dataclass
-class Line:
-    number: int
-    tokens: list[Token]
-    comment: str = ""
+class Line(NamedTuple):
+    """A line that holds tokens: its form and what the fast path built from
+    it, or (``kind`` "") its tokens and comment."""
 
-    @property
-    def tag(self) -> Optional[str]:
-        m = _TAG_RE.search(self.comment)
-        return m.group(1) if m else None
+    kind: str
+    value: object
+    number: int
+    text: str
+    tokens: Sequence[Token] = ()
+    comment: str = ""
 
 
 class _LineLexer:
@@ -107,10 +135,7 @@ class _LineLexer:
                     else:
                         self.diags.append(error("unterminated string literal", self.path, number, col))
                     break
-                value = m.group("body")
-                if "\\" in value:
-                    value = _ESCAPE_RE.sub(lambda e: _ESCAPES[e.group(1)], value)
-                tokens.append(Token("string", value, col))
+                tokens.append(Token("string", _unquote(m.group(kind)), col))
             elif kind == "other":
                 self.diags.append(error(f"unexpected character {m.group(kind)!r}", self.path, number, col))
             elif kind == "comment":
@@ -118,7 +143,7 @@ class _LineLexer:
                 break
             else:
                 tokens.append(Token(kind, m.group(kind), col))
-        return Line(number, tokens, comment)
+        return Line("", None, number, text, tokens, comment)
 
 
 class _Cursor:
@@ -169,6 +194,158 @@ class ParseError(Exception):
         self.diagnostic = diagnostic
 
 
+# ---------------------------------------------------------------------------
+# Fast path
+# ---------------------------------------------------------------------------
+#
+# ``_read_line`` reads a line in two matches. ``_HEAD`` takes the blanks, a
+# ``synthetic`` prefix and a ``dst =``, and looks ahead to the word (or
+# character) that picks the form: the word after ``=``, else the first. The
+# form's anchored pattern reads the rest, and its groups build the
+# statement, terminator, label or header. The patterns match only text the
+# lexer reads without error. A line they do not match, or that uses a
+# keyword as a name or ``synthetic`` where the token parser rejects it, is
+# declined and parsed from tokens, which emit every diagnostic.
+
+_B = r"[ \t\r]*+"  # the blanks the lexer skips
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*+"  # possessive, so two names need a blank between them
+_STR = r'"[^"\\]*+(?:\\[nt"\\][^"\\]*+)*+"'
+_LIST = rf"\({_B}((?:{_NAME}{_B}(?:,{_B}{_NAME}{_B})*+)?)\)"  # names in parentheses
+# ``synthetic`` is a prefix only before a word; the final lookahead always
+# matches, and gives "" on a blank line.
+_HEAD = re.compile(
+    rf"{_B}(?:(synthetic)[ \t\r]++(?=[A-Za-z_]))?(?:({_NAME}){_B}={_B})?(?=({_NAME}|[\"}}]|))"
+)
+_ENTRY_RE = re.compile(rf"(action|category|data_type){_B}({_STR})")
+_FIELD_RE = {"var": _NAME, "op": f"{_NAME}|{_STR}", "str": _STR,
+             "kind": f"(?:{'|'.join(ICC_KINDS)})(?![A-Za-z0-9_])"}
+_FIELD_READ = {"str": _unquote, "op": lambda text: Lit(_unquote(text)) if text[0] == '"' else Var(text)}
+_FIELD_SHOW = {"var": "{s.%s}", "kind": "{s.%s}", "str": "{_quote(s.%s)}", "op": "{_fmt_operand(s.%s)}"}
+_SYNTHETIC = frozenset({"stmt", "method", "callback", "class", "filter"})  # may follow ``synthetic``
+
+
+def _printer(text: str) -> Callable[[Stmt], str]:
+    """The printer of a statement form: ``text`` as an f-string over the
+    statement ``s``, compiled once, as ``dataclasses`` compiles methods."""
+    return eval(f"lambda s: f{text!r}", {"_quote": _quote, "_fmt_operand": _fmt_operand})
+
+
+def _fmt_call(s: Call) -> str:
+    callee = s.method
+    if s.cls is not None:
+        callee = f"{s.cls if _IDENT_RE.fullmatch(s.cls) else _quote(s.cls)}.{s.method}"
+    call = f"call {callee}({', '.join(s.args)})"
+    return f"{s.dst} = {call}" if s.dst else call
+
+
+#: How each statement is printed, by its class.
+_PRINTERS: dict[type, Callable[[Stmt], str]] = {
+    Assign: _printer("{s.dst} = {s.src}"),
+    Const: _printer("{s.dst} = {_quote(s.value)}"),
+    FieldStore: _printer("{s.obj}.{s.fld} = {s.src}"),
+    FieldLoad: _printer("{s.dst} = {s.obj}.{s.fld}"),
+    Call: _fmt_call,
+}
+
+
+def _table_form(keyword: str, form: StmtForm):
+    """A table form's pattern (from its keyword on; forms with alike fields
+    share it) and builder; records its printer."""
+    reads = [(i, _FIELD_READ[kind]) for i, (_, kind, _) in enumerate(form.fields) if kind in _FIELD_READ]
+    words = ["{s.dst} =" if form.dst else "", keyword, *(_FIELD_SHOW[kind] % attr for attr, kind, _ in form.fields)]
+    _PRINTERS[form.cls] = _printer(" ".join(words).lstrip())
+
+    def build(dst, *texts):
+        values = list(texts)
+        for i, read in reads:
+            values[i] = read(values[i])
+        return "stmt", form.cls(dst, *values) if dst else form.cls(*values)
+
+    return _B.join([_NAME] + [f"({_FIELD_RE[kind]})" for _, kind, _ in form.fields]), build
+
+
+def _call(dst, quoted, cls, method, args):
+    args = tuple(_IDENT_RE.findall(args))
+    cls = _unquote(quoted) if quoted else cls
+    return ("stmt", Call(dst=dst, cls=cls, method=method, args=args)) if _KEYWORDS.isdisjoint(args) else None
+
+
+def _class(_, kind, name, origin):
+    """A class header; its origin app stays None unless written."""
+    kind = ComponentKind(kind or "class")
+    return "class", Component(name=name, kind=kind, origin_app=origin and _unquote(origin))
+
+
+_CALL = (rf"call{_B}(?:(?:({_STR})|({_NAME})){_B}\.{_B})?({_NAME}){_B}{_LIST}", _call)
+_CLASS = (rf"(?:class|component{_B}(activity|service|receiver|provider)(?![A-Za-z0-9_]))"
+          rf"{_B}({_NAME})(?:{_B}from{_B}({_STR}))?{_B}\{{", _class)
+_METHOD = (rf"(method|callback){_B}({_NAME}){_B}{_LIST}{_B}\{{",
+           lambda _, keyword, name, params: (keyword, Method(name, tuple(_IDENT_RE.findall(params)))))
+
+
+def _compiled(forms: dict) -> dict:
+    """``forms`` with each pattern compiled; the comment is its last group."""
+    return {key: (re.compile(rf"{pattern}{_B}(?:#(.*))?"), build) for key, (pattern, build) in forms.items()}
+
+
+#: Each form's pattern and builder, looked up by the word after ``dst =``,
+#: else by the first word ("" on a blank line); None stands for a name that
+#: is not listed, which starts a copy or a load after ``=``, else a field
+#: store or a label.
+_AFTER_EQ = _compiled({kw: _table_form(kw, form) for kw, form in STMT_FORMS.items() if form.dst} | {
+    "call": _CALL,
+    '"': (f"({_STR})", lambda dst, text: ("stmt", Const(dst=dst, value=_unquote(text)))),
+    None: (rf"({_NAME})(?:{_B}\.{_B}({_NAME}))?", lambda dst, src, fld: (
+        "stmt", Assign(dst=dst, src=src) if fld is None else FieldLoad(dst=dst, obj=src, fld=fld))),
+})
+_LEADING = _compiled({kw: _table_form(kw, form) for kw, form in STMT_FORMS.items() if not form.dst} | {
+    "call": _CALL,
+    "goto": (rf"goto{_B}({_NAME})", lambda _, label: ("term", Goto(label))),
+    "branch": (rf"branch{_B}({_NAME}){_B}({_NAME})", lambda _, left, right: ("term", Branch(left, right))),
+    "return": (rf"return(?:{_B}({_NAME}))?", lambda _, var: ("term", Return(var))),
+    "method": _METHOD,
+    "callback": _METHOD,
+    "filter": (rf"filter{_B}\{{((?:{_B}(?:action|category|data_type){_B}{_STR}{_B};?)*+){_B}\}}",
+               lambda _, body: ("filter", _intent_filter(
+                   (key, _unquote(value)) for key, value in _ENTRY_RE.findall(body)))),
+    "class": _CLASS,
+    "component": _CLASS,
+    "app": (rf"app{_B}({_STR}){_B}\{{", lambda _, name: ("app", _unquote(name))),
+    "}": (r"\}", lambda _: ("}", None)),
+    "": ("", lambda _: ("", None)),
+    None: (rf"({_NAME}){_B}(?:(:)|\.{_B}({_NAME}){_B}={_B}({_NAME}))", lambda _, name, colon, fld, src: (
+        ("label", name) if colon else ("stmt", FieldStore(obj=name, fld=fld, src=src)))),
+})
+
+
+def _read_line(text: str) -> Optional[tuple[str, object]]:
+    """The fast path: ``(kind, value)`` read from one line, or None to leave
+    the line to the token path. ``kind`` is "stmt", "term", "label", "}",
+    "method", "callback", "filter", "class", "app", or "" for a blank line."""
+    head = _HEAD.match(text)
+    syn, dst, key = head.groups()
+    forms = _AFTER_EQ if dst else _LEADING
+    pattern, build = forms.get(key) or forms[None]
+    m = pattern.fullmatch(text, head.end())
+    if m is None or dst in _KEYWORDS:
+        return None
+    *groups, comment = m.groups()
+    read = build(dst, *groups)
+    if read is None:
+        return None
+    kind, value = read
+    if kind in ("stmt", "label") and not _KEYWORDS.isdisjoint(groups):
+        return None  # a keyword as a name; strings start with '"', and no ICC kind is a keyword
+    if kind == "stmt" and comment:
+        value.tag = _tag(comment)
+    if syn:
+        if kind not in _SYNTHETIC:
+            return None
+        if kind != "filter":  # which the token parser reads, and drops
+            value.synthetic = True
+    return read
+
+
 @dataclass
 class ParseResult:
     app: Optional[AppModel]
@@ -198,24 +375,31 @@ def parse_app(text: str, path: Optional[str] = None) -> ParseResult:
 class _Parser:
     def __init__(self, text: str, path: Optional[str]):
         self.path = path
-        lexer = _LineLexer(path)
-        self.lines: list[Line] = []
+        self.lexer = _LineLexer(path)
+        self.diags = self.lexer.diags
+        self.lines: list[Line] = []  # the lines that hold tokens
         for idx, raw in enumerate(text.splitlines(), start=1):
-            line = lexer.lex(raw, idx)
-            if line.tokens or line.comment:
-                self.lines.append(line)
-        self.diags = lexer.diags
+            read = _read_line(raw)
+            if read is None:
+                line = self.lexer.lex(raw, idx)
+                if line.tokens:
+                    self.lines.append(line)
+            elif read[0]:  # not a blank or comment-only line
+                self.lines.append(Line(*read, idx, raw))
         self.idx = 0
 
     # -- line stream ------------------------------------------------------
 
-    def _next_line(self) -> Optional[Line]:
-        while self.idx < len(self.lines):
-            line = self.lines[self.idx]
-            self.idx += 1
-            if line.tokens:
-                return line
-        return None
+    def _next_line(self, *kinds: str) -> Optional[Line]:
+        """The next line. One the fast path read as none of ``kinds`` is lexed
+        for the token path, which finds no lexer error in it."""
+        if self.idx == len(self.lines):
+            return None
+        line = self.lines[self.idx]
+        self.idx += 1
+        if line.kind and line.kind not in kinds:
+            line = self.lexer.lex(line.text, line.number)
+        return line
 
     def _err(self, message: str, line: Optional[Line]) -> None:
         number = line.number if line else 0
@@ -235,7 +419,7 @@ class _Parser:
 
     @staticmethod
     def _is_close(line: Line) -> bool:
-        return (
+        return line.kind == "}" or (
             len(line.tokens) == 1
             and line.tokens[0].kind == "punct"
             and line.tokens[0].text == "}"
@@ -244,23 +428,25 @@ class _Parser:
     # -- grammar ----------------------------------------------------------
 
     def parse(self) -> Optional[AppModel]:
-        line = self._next_line()
+        line = self._next_line("app")
         if line is None:
             self._err("empty input: expected 'app \"name\" {'", None)
             return None
-        cur = _Cursor(line, self.path)
-        try:
-            cur.expect("ident", "app")
-            name = cur.expect("string", what="app name string").text
-            cur.expect("punct", "{")
-            cur.expect_done()
-        except ParseError as exc:
-            self.diags.append(exc.diagnostic)
-            return None
+        name = line.value
+        if not line.kind:
+            cur = _Cursor(line, self.path)
+            try:
+                cur.expect("ident", "app")
+                name = cur.expect("string", what="app name string").text
+                cur.expect("punct", "{")
+                cur.expect_done()
+            except ParseError as exc:
+                self.diags.append(exc.diagnostic)
+                return None
         app = AppModel(app_id=name, source_path=self.path)
 
         while True:
-            line = self._next_line()
+            line = self._next_line("}", "class")
             if line is None:
                 self._err("unexpected end of input: unclosed 'app' block", None)
                 return app
@@ -276,54 +462,63 @@ class _Parser:
         return app
 
     def _parse_class(self, line: Line, app_id: str) -> Optional[Component]:
-        cur = _Cursor(line, self.path)
-        try:
-            synthetic = cur.accept("ident", "synthetic") is not None
-            if cur.accept("ident", "class"):
-                kind = ComponentKind.CLASS
-            else:
-                cur.expect("ident", "component", what="'component' or 'class'")
-                kind_tok = cur.expect("ident", what="component kind")
-                try:
-                    kind = ComponentKind(kind_tok.text)
-                except ValueError:
-                    raise cur.fail(f"unknown component kind {kind_tok.text!r}")
-                if kind is ComponentKind.CLASS:
-                    raise cur.fail("use 'class Name' for plain classes")
-            name = cur.expect("ident", what="class name").text
-            origin = app_id
-            if cur.accept("ident", "from"):
-                origin = cur.expect("string", what="origin app string").text
-            cur.expect("punct", "{")
-            cur.expect_done()
-        except ParseError as exc:
-            self.diags.append(exc.diagnostic)
-            self._skip_block()
-            return None
-
-        comp = Component(name=name, kind=kind, synthetic=synthetic, origin_app=origin)
+        comp = line.value
+        if not line.kind:
+            cur = _Cursor(line, self.path)
+            try:
+                synthetic = cur.accept("ident", "synthetic") is not None
+                if cur.accept("ident", "class"):
+                    kind = ComponentKind.CLASS
+                else:
+                    cur.expect("ident", "component", what="'component' or 'class'")
+                    kind_tok = cur.expect("ident", what="component kind")
+                    try:
+                        kind = ComponentKind(kind_tok.text)
+                    except ValueError:
+                        raise cur.fail(f"unknown component kind {kind_tok.text!r}")
+                    if kind is ComponentKind.CLASS:
+                        raise cur.fail("use 'class Name' for plain classes")
+                name = cur.expect("ident", what="class name").text
+                origin = None
+                if cur.accept("ident", "from"):
+                    origin = cur.expect("string", what="origin app string").text
+                cur.expect("punct", "{")
+                cur.expect_done()
+            except ParseError as exc:
+                self.diags.append(exc.diagnostic)
+                self._skip_block()
+                return None
+            comp = Component(name=name, kind=kind, synthetic=synthetic, origin_app=origin)
+        if comp.origin_app is None:
+            comp.origin_app = app_id
         while True:
-            body_line = self._next_line()
+            body_line = self._next_line("}", "method", "callback", "filter")
             if body_line is None:
-                self._err(f"unclosed block for {name!r}", line)
+                self._err(f"unclosed block for {comp.name!r}", line)
                 return comp
             if self._is_close(body_line):
                 return comp
             self._parse_member(body_line, comp)
 
     def _parse_member(self, line: Line, comp: Component) -> None:
-        cur = _Cursor(line, self.path)
-        synthetic = cur.accept("ident", "synthetic") is not None
-        head = cur.peek()
-        if head.kind == "ident" and head.text == "filter":
-            try:
-                comp.filters.append(self._parse_filter(cur))
-            except ParseError as exc:
-                self.diags.append(exc.diagnostic)
+        if line.kind == "filter":
+            comp.filters.append(line.value)
             return
-        if head.kind == "ident" and head.text in ("method", "callback"):
-            is_callback = head.text == "callback"
-            cur.next()
+        keyword, method = line.kind, line.value  # a method or callback header
+        if not keyword:
+            cur = _Cursor(line, self.path)
+            synthetic = cur.accept("ident", "synthetic") is not None
+            head = cur.peek()
+            if head.kind == "ident" and head.text == "filter":
+                try:
+                    comp.filters.append(self._parse_filter(cur))
+                except ParseError as exc:
+                    self.diags.append(exc.diagnostic)
+                return
+            if head.kind != "ident" or head.text not in ("method", "callback"):
+                self._err(f"expected 'filter', 'method' or 'callback', got {head.text!r}", line)
+                return
+            keyword = cur.next().text
             try:
                 name = cur.expect("ident", what="method name").text
                 params = self._names(cur, lambda: cur.expect("ident", what="parameter name").text)
@@ -334,30 +529,26 @@ class _Parser:
                 self._skip_block()
                 return
             method = Method(name=name, params=params, synthetic=synthetic)
-            self._parse_body(method, comp)
-            if is_callback:
-                comp.callbacks.append(method)
-            elif name in LIFECYCLE_SLOTS[comp.kind]:
-                comp.lifecycle[name] = method
-            else:
-                comp.helpers.append(method)
-            return
-        self._err(
-            f"expected 'filter', 'method' or 'callback', got {head.text!r}", line
-        )
+        self._parse_body(method, comp)
+        if keyword == "callback":
+            comp.callbacks.append(method)
+        elif method.name in LIFECYCLE_SLOTS[comp.kind]:
+            comp.lifecycle[method.name] = method
+        else:
+            comp.helpers.append(method)
 
     def _parse_filter(self, cur: _Cursor) -> IntentFilter:
         cur.expect("ident", "filter")
         cur.expect("punct", "{")
-        entries: dict[str, set[str]] = {"action": set(), "category": set(), "data_type": set()}
+        entries: list[tuple[str, str]] = []
         while not cur.accept("punct", "}"):
             key = cur.expect("ident", what="'action', 'category' or 'data_type'")
-            if key.text not in entries:
+            if key.text not in ("action", "category", "data_type"):
                 raise cur.fail(f"unknown filter entry {key.text!r}")
-            entries[key.text].add(cur.expect("string", what="filter value string").text)
+            entries.append((key.text, cur.expect("string", what="filter value string").text))
             cur.accept("punct", ";")
         cur.expect_done()
-        return IntentFilter(*(frozenset(values) for values in entries.values()))
+        return _intent_filter(entries)
 
     # -- method bodies ------------------------------------------------------
 
@@ -374,14 +565,17 @@ class _Parser:
             terminated = False
 
         while True:
-            line = self._next_line()
+            if terminated:
+                line = self._next_line("}", "label")
+            else:
+                line = self._next_line("}", "label", "stmt", "term")
             if line is None:
                 self._err(f"unclosed body of {comp.name}.{method.name}", None)
                 break
             if self._is_close(line):
                 break
             # Label line: IDENT ':'
-            if (
+            if line.kind == "label" or (
                 len(line.tokens) == 2
                 and line.tokens[0].kind == "ident"
                 and line.tokens[0].text not in _KEYWORDS
@@ -389,10 +583,16 @@ class _Parser:
                 and line.tokens[1].text == ":"
             ):
                 close_current()
-                current = Block(label=line.tokens[0].text)
+                current = Block(label=line.value if line.kind else line.tokens[0].text)
                 continue
             if current is None:
                 current = Block(label="b0")
+            if line.kind == "stmt":
+                current.stmts.append(line.value)
+                continue
+            if line.kind == "term":
+                current.term, terminated = line.value, True
+                continue
             cur = _Cursor(line, self.path)
             try:
                 if terminated:
@@ -458,7 +658,7 @@ class _Parser:
         stmt = self._parse_stmt_inner(cur)
         cur.expect_done()
         stmt.synthetic = synthetic
-        stmt.tag = line.tag
+        stmt.tag = _tag(line.comment)
         return stmt
 
     def _parse_stmt_inner(self, cur: _Cursor) -> Stmt:
@@ -551,48 +751,8 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _quote(text: str) -> str:
-    out = text.replace("\\", "\\\\").replace('"', '\\"')
-    out = out.replace("\n", "\\n").replace("\t", "\\t")
-    return f'"{out}"'
-
-
-def _fmt_operand(op: Operand) -> str:
-    return _quote(op.text) if op.is_literal else op.text
-
-
-def _fmt_callee(stmt: Call) -> str:
-    if stmt.cls is None:
-        return stmt.method
-    if _IDENT_RE.fullmatch(stmt.cls):
-        return f"{stmt.cls}.{stmt.method}"
-    return f"{_quote(stmt.cls)}.{stmt.method}"
-
-
-_FMT_FIELD = {"var": str, "kind": str, "op": _fmt_operand, "str": _quote}
-
-
 def _fmt_stmt(stmt: Stmt) -> str:
-    keyword = STMT_KEYWORDS.get(type(stmt))
-    if keyword is not None:
-        form = STMT_FORMS[keyword]
-        body = " ".join([keyword] + [_FMT_FIELD[k](getattr(stmt, a)) for a, k, _ in form.fields])
-        if form.dst:
-            body = f"{stmt.dst} = {body}"
-    elif isinstance(stmt, Assign):
-        body = f"{stmt.dst} = {stmt.src}"
-    elif isinstance(stmt, Const):
-        body = f"{stmt.dst} = {_quote(stmt.value)}"
-    elif isinstance(stmt, Call):
-        args = ", ".join(stmt.args)
-        call = f"call {_fmt_callee(stmt)}({args})"
-        body = f"{stmt.dst} = {call}" if stmt.dst else call
-    elif isinstance(stmt, FieldStore):
-        body = f"{stmt.obj}.{stmt.fld} = {stmt.src}"
-    elif isinstance(stmt, FieldLoad):
-        body = f"{stmt.dst} = {stmt.obj}.{stmt.fld}"
-    else:  # pragma: no cover - exhaustive over statement kinds
-        raise TypeError(f"unknown statement {stmt!r}")
+    body = _PRINTERS[type(stmt)](stmt)
     if stmt.synthetic:
         body = f"synthetic {body}"
     if stmt.tag:

@@ -1,12 +1,14 @@
 import hashlib
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import progen
-from iccflow.ir import STMT_FORMS
+from iccflow import parser
+from iccflow.ir import ICC_KINDS, STMT_FORMS
 from iccflow.parser import corpus_files, load_app, load_corpus, parse_app, serialize_app
 
 GOOD = """
@@ -270,3 +272,138 @@ def test_golden_mutations_cover_every_parser_diagnostic():
     messages = [line.split(": ", 1)[1] for line in GOLDEN.read_text().splitlines()
                 if line.startswith("  ")]
     assert [h for h in PARSER_DIAGNOSTICS if not any(m.startswith(h) for m in messages)] == []
+
+
+# -- the fast path -------------------------------------------------------------
+
+def _raw_parse(text: str):
+    """The parser's model before validation, and its diagnostics."""
+    p = parser._Parser(text, "a.cir")
+    return p.parse(), [(d.line, d.column, d.severity, d.message) for d in p.diags]
+
+
+def _token_parse(text: str):
+    """``_raw_parse`` with every line left to the token path."""
+    with mock.patch.object(parser, "_read_line", lambda line: None):
+        return _raw_parse(text)
+
+
+# Where a line can stand: in a method body, among a class's members, among
+# an app's classes, and first.
+PLACES = (
+    'app "A" {{\n  component activity Main {{\n    method onCreate(this) {{\n{}\n'
+    "      return\n    }}\n  }}\n}}\n",
+    'app "A" {{\n  component activity Main {{\n{}\n  }}\n}}\n',
+    'app "A" {{\n{}\n}}\n',
+    "{}\n}}\n",
+)
+
+# Plain names weigh most; the rest are keywords, near-keywords and ICC kinds.
+_NAMES = ["x", "a1", "_T", "v"] * 3 + ["sink", "call", "goto", "synthetic", "from", "class",
+                                       "app", "return", "method", "action", "sinkx",
+                                       "start_activity", "activity"]
+
+
+@st.composite
+def _string(draw):
+    parts = draw(st.lists(st.sampled_from(["a", " ", "#", "{", "/", '\\"', "\\\\", "\\n",
+                                           "\\t", "\\q", '"']), max_size=4))
+    return '"' + "".join(parts) + '"' if draw(st.integers(0, 9)) else '"' + "".join(parts)
+
+
+@st.composite
+def _form_atoms(draw):
+    """The words of one line of some form, before blanks are put between them."""
+    name = st.sampled_from(_NAMES)
+    operand = st.one_of(name, _string())
+    names = st.lists(name, max_size=3).map(lambda ns: [a for n in ns for a in (n, ",")][:-1])
+    kind = draw(st.sampled_from(["table", "call", "copy", "load", "const", "store", "label",
+                                 "goto", "branch", "return", "close", "method", "filter",
+                                 "class", "component", "app"]))
+    if kind == "table":
+        keyword = draw(st.sampled_from(sorted(STMT_FORMS)))
+        form = STMT_FORMS[keyword]
+        field = {"var": name, "op": operand, "str": _string(),
+                 "kind": st.sampled_from(sorted(ICC_KINDS) + ["bogus", "sink"])}
+        atoms = [keyword] + [draw(field[k]) for _, k, _ in form.fields]
+        return [draw(name), "="] + atoms if form.dst else atoms
+    if kind == "call":
+        callee = draw(st.sampled_from([[], ["A", "."], ["sink", "."]]) | _string().map(lambda s: [s, "."]))
+        atoms = ["call", *callee, draw(name), "(", *draw(names), ")"]
+        return [draw(name), "="] + atoms if draw(st.booleans()) else atoms
+    rest = {
+        "copy": lambda: [draw(name), "=", draw(name)],
+        "load": lambda: [draw(name), "=", draw(name), ".", draw(name)],
+        "const": lambda: [draw(name), "=", draw(_string())],
+        "store": lambda: [draw(name), ".", draw(name), "=", draw(name)],
+        "label": lambda: [draw(name), ":"],
+        "goto": lambda: ["goto", draw(name)],
+        "branch": lambda: ["branch", draw(name), draw(name)],
+        "return": lambda: ["return"] + draw(st.lists(name, max_size=1)),
+        "close": lambda: ["}"],
+        "method": lambda: [draw(st.sampled_from(["method", "callback"])), draw(name), "(",
+                           *draw(names), ")", "{"],
+        "filter": lambda: ["filter", "{", *[a for _ in range(draw(st.integers(0, 2))) for a in (
+            draw(st.sampled_from(["action", "category", "data_type", "sink"])), draw(_string()),
+            *draw(st.sampled_from([[], [";"], [";", ";"]])))], "}"],
+        "class": lambda: ["class", draw(name)] + draw(st.sampled_from([[], ["from", '"O"']])) + ["{"],
+        "component": lambda: ["component", draw(st.sampled_from(["activity", "service", "class", "x"])),
+                              draw(name)] + draw(st.sampled_from([[], ["from", '"O"']])) + ["{"],
+        "app": lambda: ["app", draw(_string()), "{"],
+    }
+    return rest[kind]()
+
+
+@st.composite
+def fast_path_lines(draw):
+    """One line of any form: keywords as names, escapes and '#' in strings,
+    tabs and carriage returns, glued punctuation, ``synthetic`` and a
+    trailing tag, sometimes with one word dropped or replaced."""
+    atoms = draw(_form_atoms())
+    edit = draw(st.integers(0, 5))
+    if edit < 2 and atoms:
+        i = draw(st.integers(0, len(atoms) - 1))
+        atoms[i:i + 1] = [] if edit else [draw(st.sampled_from(_NAMES + ["=", ".", ":", "(", ",", "{"]))]
+    if draw(st.booleans()):
+        atoms.insert(0, "synthetic")
+    blank = st.sampled_from(["", " ", " ", " ", "  ", "\t", "\r", " \t"])
+    line = draw(blank) + "".join(atom + draw(blank) for atom in atoms)
+    return line + draw(st.sampled_from(["", "# @tag t1", "  # @tag t2 # x", "#@tag", "# note"]))
+
+
+@settings(max_examples=800, deadline=None)
+@given(fast_path_lines())
+@example("component class X {")
+@example('filter { action "a";; }')
+@example('synthetic filter { category "c" data_type "t"; }')
+@example('call "A/C" m()')
+@example('return "x"')
+def test_fast_path_reads_a_line_as_the_token_path_does(line):
+    """The fast path declines a line, or builds what the token parser builds:
+    the same statement, terminator, label or header (type, fields,
+    ``synthetic`` and tag), and so the same model and diagnostics."""
+    for place in PLACES:
+        text = place.format(line)
+        assert _raw_parse(text) == _token_parse(text), text
+
+
+@pytest.mark.parametrize("line, kind", [
+    ("x = sink", None), ("return sink", "term"), ("goto call", "term"),
+    ("synthetic return", None), ("synthetic l1:", None), ('x = "a#b"  # @tag t', "stmt"),
+    ('call "A/C".m()', "stmt"), ("a.f=b", "stmt"), ("\tx\r=\ty", "stmt"), ('x = "a\\q"', None),
+])
+def test_fast_path_reads_or_declines(line, kind):
+    read = parser._read_line(line)
+    assert (read and read[0]) == kind
+
+
+def test_fast_path_reads_every_shipped_and_generated_line(repo_root):
+    """No line of ``corpus/`` or of progen seeds 0-9 reaches the token path,
+    so a pattern that drifts fails here rather than running slower."""
+    texts = [Path(p).read_text(encoding="utf-8") for p in corpus_files(str(repo_root / "corpus"))]
+    texts += [text for seed in range(10) for text in progen.gen_corpus(seed)]
+    with mock.patch.object(parser._LineLexer, "lex", side_effect=AssertionError) as lex:
+        for text in texts:
+            assert parse_app(text).ok
+    assert lex.call_count == 0
+    assert sum(len(text.splitlines()) for text in texts) > 500
