@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Check that ``iccflow analyze``, ``bench``, ``instrument`` and the parser
-report the same as a base checkout does.
+"""Check that ``iccflow analyze``, ``links``, ``bench``, ``instrument`` and
+the parser report the same as a base checkout does.
 
     python3 scripts/report_identity.py --base ../iccflow-base [--head .]
 
@@ -11,8 +11,9 @@ without its ``[time]`` lines. The inputs are the benchmark corpora
 seeds 1 and 2, built with the head's ``perfbench/workloads.py``;
 ``corpus/bench`` at ``--max-len`` 2, 3 and 4, as text and as TSV;
 ``corpus/warnings``, whose analysis warns of unknown callees, at
-``--max-len`` 2 and 3; ``bench corpus/bench`` as text and as TSV; and
-``instrument`` on ``corpus/bench`` and ``corpus/motivating``.
+``--max-len`` 2 and 3; ``bench corpus/bench`` as text and as TSV;
+``instrument`` on ``corpus/bench`` and ``corpus/motivating``; and ``links``,
+the resolved intent links, on every workload corpus and on ``corpus/bench``.
 Reports show only a path's length, so it also compares every path's full
 statement list, printed by ``WITNESSES`` in-process against each
 checkout's ``src``, on ``dense``, ``sparse`` and ``widen`` seed 1 and on
@@ -89,6 +90,7 @@ def cases(head: Path, work: Path) -> list[tuple[str, list[str]]]:
             workloads.generate(name, seed).write(corpus)
             out.append((f"{name} seed {seed}",
                         ["analyze", str(corpus), "--max-len", str(max_len), "--config", config]))
+            out.append((f"{name} seed {seed} links", ["links", str(corpus)]))
             if seed == 1:
                 snippets.append((f"{name} seed {seed} witnesses",
                                  [WITNESSES, str(corpus), str(max_len), config]))
@@ -106,6 +108,7 @@ def cases(head: Path, work: Path) -> list[tuple[str, list[str]]]:
                     ["analyze", warnings, "--max-len", str(max_len), "--config", config]))
     for fmt in ("text", "tsv"):
         out.append((f"bench corpus/bench {fmt}", ["bench", bench, "--format", fmt, "--config", config]))
+    out.append(("links corpus/bench", ["links", bench]))
     for name in ("bench", "motivating"):
         out.append((f"instrument corpus/{name}", ["instrument", str(head / "corpus" / name)]))
     texts = [p.read_text(encoding="utf-8") for p in sorted((head / "corpus").rglob("*.cir"))]

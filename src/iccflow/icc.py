@@ -28,7 +28,6 @@ from .ir import (
     ComponentKind,
     Const,
     Diagnostic,
-    GetExtra,
     GetIntent,
     ICC_KINDS,
     IccCall,
@@ -40,7 +39,6 @@ from .ir import (
     SetCategory,
     SetDataType,
     SetTarget,
-    SourceCall,
     Stmt,
     StmtId,
     warning,
@@ -146,58 +144,49 @@ class LinkResult:
 # Abstract values for variables
 # ---------------------------------------------------------------------------
 #
-# A variable holds either a string abstraction (set of possible constants or
-# Top) or an intent abstraction. Objects and anything else are opaque; using
-# an opaque value where an intent is expected degrades to the Top intent,
-# never to a failure.
+# A variable holds either a string abstraction (a ``StrSet``: the set of
+# possible constants, or Top) or an ``IntentValue``. Objects and anything
+# else are opaque; using an opaque value where an intent is expected degrades
+# to the Top intent, never to a failure.
 
-
-@dataclass(frozen=True)
-class AbsStr:
-    values: StrSet = frozenset()
-
-
-@dataclass(frozen=True)
-class AbsIntent:
-    value: IntentValue = field(default_factory=IntentValue)
-
-
-AbsVal = Union[AbsStr, AbsIntent]
+AbsVal = Union[StrSet, IntentValue]
 
 #: Reading a never-assigned variable yields the empty string at runtime.
-_UNASSIGNED = AbsStr(frozenset({""}))
+_UNASSIGNED: StrSet = frozenset({""})
+
+#: The intent attribute each setter writes; ``set_category`` adds to it.
+_SETTERS = {SetTarget: "targets", SetAction: "actions",
+            SetCategory: "categories", SetDataType: "data_types"}
 
 
 def _join_vals(a: AbsVal, b: AbsVal) -> AbsVal:
-    if isinstance(a, AbsIntent) and isinstance(b, AbsIntent):
-        return AbsIntent(a.value.join(b.value))
-    if isinstance(a, AbsStr) and isinstance(b, AbsStr):
-        return AbsStr(join_sets(a.values, b.values))
-    # Mixed string/intent merge: nothing useful can be said.
-    return AbsIntent(IntentValue.top())
+    if isinstance(a, IntentValue) and isinstance(b, IntentValue):
+        return a.join(b)
+    if isinstance(a, IntentValue) or isinstance(b, IntentValue):
+        # Mixed string/intent merge: nothing useful can be said.
+        return IntentValue.top()
+    return join_sets(a, b)
 
 
-def _join_envs(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for var, val in b.items():
-        if var in out:
-            out[var] = _join_vals(out[var], val)
-        else:
-            out[var] = val
-    return out
+def _join_into(d: dict, key, value: AbsVal) -> None:
+    """Join ``value`` into ``d[key]``, the entry's existing value first."""
+    if key in d:
+        d[key] = _join_vals(d[key], value)
+    else:
+        d[key] = value
 
 
 def _as_str_set(val: Optional[AbsVal]) -> StrSet:
     if val is None:
-        return _UNASSIGNED.values
-    if isinstance(val, AbsStr):
-        return val.values
-    return TOP  # an intent used as a string: unknowable
+        return _UNASSIGNED
+    if isinstance(val, IntentValue):
+        return TOP  # an intent used as a string: unknowable
+    return val
 
 
 def _as_intent(val: Optional[AbsVal]) -> IntentValue:
-    if isinstance(val, AbsIntent):
-        return val.value
+    if isinstance(val, IntentValue):
+        return val
     return IntentValue.top()
 
 
@@ -210,53 +199,40 @@ def _operand_strings(env: dict, operand) -> StrSet:
 def _apply_stmt(stmt: Stmt, env: dict, sink: "_ValueSink") -> None:
     """Transfer function of one statement over the variable environment."""
     if isinstance(stmt, Const):
-        env[stmt.dst] = AbsStr(frozenset({stmt.value}))
+        env[stmt.dst] = frozenset({stmt.value})
     elif isinstance(stmt, Assign):
         env[stmt.dst] = env.get(stmt.src, _UNASSIGNED)
-    elif isinstance(stmt, SourceCall):
-        env[stmt.dst] = AbsStr(TOP)
-    elif isinstance(stmt, GetExtra):
-        env[stmt.dst] = AbsStr(TOP)
     elif isinstance(stmt, GetIntent):
         # The received intent is unknown before instrumentation connects the
         # sender; relaying it onward must over-approximate.
-        env[stmt.dst] = AbsIntent(IntentValue.top())
+        env[stmt.dst] = IntentValue.top()
     elif isinstance(stmt, NewIntent):
-        env[stmt.dst] = AbsIntent(IntentValue())
-    elif isinstance(stmt, SetTarget):
+        env[stmt.dst] = IntentValue()
+    elif type(stmt) in _SETTERS:
+        attr = _SETTERS[type(stmt)]
         iv = _as_intent(env.get(stmt.intent))
-        env[stmt.intent] = AbsIntent(replace(iv, targets=_operand_strings(env, stmt.value)))
-    elif isinstance(stmt, SetAction):
-        iv = _as_intent(env.get(stmt.intent))
-        env[stmt.intent] = AbsIntent(replace(iv, actions=_operand_strings(env, stmt.value)))
-    elif isinstance(stmt, SetCategory):
-        iv = _as_intent(env.get(stmt.intent))
-        added = _operand_strings(env, stmt.value)
-        env[stmt.intent] = AbsIntent(
-            replace(iv, categories=join_sets(iv.categories, added))
-        )
-    elif isinstance(stmt, SetDataType):
-        iv = _as_intent(env.get(stmt.intent))
-        env[stmt.intent] = AbsIntent(replace(iv, data_types=_operand_strings(env, stmt.value)))
+        written = _operand_strings(env, stmt.value)
+        if isinstance(stmt, SetCategory):
+            written = join_sets(iv.categories, written)
+        env[stmt.intent] = replace(iv, **{attr: written})
     elif isinstance(stmt, PutExtra):
         iv = _as_intent(env.get(stmt.intent))
         if stmt.key.is_literal:
-            env[stmt.intent] = AbsIntent(
-                replace(iv, extras_keys=iv.extras_keys | {stmt.key.text})
-            )
+            env[stmt.intent] = replace(iv, extras_keys=iv.extras_keys | {stmt.key.text})
         else:
-            env[stmt.intent] = AbsIntent(replace(iv, extras_complete=False))
+            env[stmt.intent] = replace(iv, extras_complete=False)
     elif isinstance(stmt, IccCall):
-        sink.record(stmt, _as_intent(env.get(stmt.intent)))
+        _join_into(sink.icc_values, stmt.sid, _as_intent(env.get(stmt.intent)))
     elif isinstance(stmt, Call):
-        sink.record_call(stmt, env)
+        for i, arg in enumerate(stmt.args):
+            _join_into(sink.arg_bindings, (stmt.cls, stmt.method, i), env.get(arg, _UNASSIGNED))
         if stmt.dst:
-            env[stmt.dst] = AbsStr(TOP)
+            env[stmt.dst] = TOP
     else:
-        # new_obj, field ops, sink/finish/set_result: no effect on intents
-        # visible to this analysis.
+        # source, get_extra, new_obj, field ops, sink/finish/set_result: no
+        # effect on intents visible to this analysis.
         if getattr(stmt, "dst", None):
-            env[stmt.dst] = AbsStr(TOP)
+            env[stmt.dst] = TOP
 
 
 class _ValueSink:
@@ -265,23 +241,6 @@ class _ValueSink:
     def __init__(self) -> None:
         self.icc_values: dict[StmtId, IntentValue] = {}
         self.arg_bindings: dict[tuple, AbsVal] = {}
-
-    def record(self, stmt: IccCall, value: IntentValue) -> None:
-        sid = stmt.sid
-        assert sid is not None
-        if sid in self.icc_values:
-            self.icc_values[sid] = self.icc_values[sid].join(value)
-        else:
-            self.icc_values[sid] = value
-
-    def record_call(self, stmt: Call, env: dict) -> None:
-        for i, arg in enumerate(stmt.args):
-            key = (stmt.cls, stmt.method, i)
-            val = env.get(arg, _UNASSIGNED)
-            if key in self.arg_bindings:
-                self.arg_bindings[key] = _join_vals(self.arg_bindings[key], val)
-            else:
-                self.arg_bindings[key] = val
 
 
 def _analyze_method(method: Method, init_env: dict, sink: _ValueSink) -> None:
@@ -300,13 +259,12 @@ def _analyze_method(method: Method, init_env: dict, sink: _ValueSink) -> None:
         for succ in method.successors(idx):
             if succ not in position:
                 continue
-            if succ in in_envs:
-                joined = _join_envs(in_envs[succ], env)
-                if joined == in_envs[succ]:
-                    continue
-                in_envs[succ] = joined
-            else:
-                in_envs[succ] = dict(env)
+            joined = dict(in_envs.get(succ, {}))
+            for var, val in env.items():
+                _join_into(joined, var, val)
+            if joined == in_envs.get(succ):
+                continue
+            in_envs[succ] = joined
             if succ not in queued:
                 queued.add(succ)
                 work.append(succ)
@@ -331,7 +289,7 @@ def resolve_intent_values(app: AppModel) -> dict[StmtId, IntentValue]:
     methods = [(c, m, {type(s) for b in m.blocks for s in b.stmts}) for c, m in app.iter_methods()]
     pass1 = _ValueSink()
     for comp, method in [(c, m) for c, m, kinds in methods if Call in kinds]:
-        init = {p: AbsIntent(IntentValue.top()) for p in method.params}
+        init = {p: IntentValue.top() for p in method.params}
         _analyze_method(method, init, pass1)
 
     pass2 = _ValueSink()
@@ -347,7 +305,7 @@ def resolve_intent_values(app: AppModel) -> dict[StmtId, IntentValue]:
                 if b is not None:
                     bound = b if bound is None else _join_vals(bound, b)
             if is_entry or bound is None:
-                init[param] = AbsIntent(IntentValue.top())
+                init[param] = IntentValue.top()
             else:
                 init[param] = bound
         _analyze_method(method, init, pass2)

@@ -221,7 +221,7 @@ _FIELD_RE = {"var": _NAME, "op": f"{_NAME}|{_STR}", "str": _STR,
              "kind": f"(?:{'|'.join(ICC_KINDS)})(?![A-Za-z0-9_])"}
 _FIELD_READ = {"str": _unquote, "op": lambda text: Lit(_unquote(text)) if text[0] == '"' else Var(text)}
 _FIELD_SHOW = {"var": "{s.%s}", "kind": "{s.%s}", "str": "{_quote(s.%s)}", "op": "{_fmt_operand(s.%s)}"}
-_SYNTHETIC = frozenset({"stmt", "method", "callback", "class", "filter"})  # may follow ``synthetic``
+_SYNTHETIC = frozenset({"stmt", "method", "callback", "class"})  # may follow ``synthetic``
 
 
 def _printer(text: str) -> Callable[[Stmt], str]:
@@ -341,8 +341,7 @@ def _read_line(text: str) -> Optional[tuple[str, object]]:
     if syn:
         if kind not in _SYNTHETIC:
             return None
-        if kind != "filter":  # which the token parser reads, and drops
-            value.synthetic = True
+        value.synthetic = True
     return read
 
 
@@ -511,6 +510,8 @@ class _Parser:
             head = cur.peek()
             if head.kind == "ident" and head.text == "filter":
                 try:
+                    if synthetic:
+                        raise cur.fail("a filter cannot be synthetic")
                     comp.filters.append(self._parse_filter(cur))
                 except ParseError as exc:
                     self.diags.append(exc.diagnostic)

@@ -152,28 +152,38 @@ class _MethodShape:
 
         Empty blocks are walked through depth-first, left branch first, with
         an explicit stack; a label met again within one walk (an empty
-        cycle) contributes nothing.
+        cycle) contributes nothing. Such a cut leaves the labels between the
+        two meetings incomplete, so, as in Tarjan's algorithm, each result
+        carries the lowest discovery index a cut below it hit, and a label's
+        result is kept for later walks only if that index is not below the
+        label's own. The walked label has index 0, so its result is kept.
         """
         if label in self._first:
             return self._first[label]
-        guard: set[str] = set()
-        results: list[list[Node]] = []
+        found: dict[str, int] = {}  # discovery index of each label walked
+        uncut = len(self.index)  # above every discovery index
+        results: list[tuple[list[Node], int]] = []  # (nodes, lowest index cut)
         # (label, 0) visits a block; (label, n) joins the results its n
         # successors left on top of ``results``.
         stack: list[tuple[str, int]] = [(label, 0)]
         while stack:
             lbl, n = stack.pop()
+            low = uncut
             if n:
-                out = _join(results[-n:])
+                out = _join(nodes for nodes, _ in results[-n:])
+                low = min(cut for _, cut in results[-n:])
                 del results[-n:]
             elif lbl in self._first:
-                results.append(self._first[lbl])
+                results.append((self._first[lbl], uncut))
                 continue
-            elif lbl in guard or lbl not in self.index:
-                results.append([])
+            elif lbl in found:
+                results.append(([], found[lbl]))
+                continue
+            elif lbl not in self.index:
+                results.append(([], uncut))
                 continue
             else:
-                guard.add(lbl)
+                found[lbl] = len(found)
                 idx = self.index[lbl]
                 block = self.method.blocks[idx]
                 succs = self.method.successors(idx)
@@ -185,9 +195,10 @@ class _MethodShape:
                     stack.append((lbl, len(succs)))
                     stack += [(s, 0) for s in reversed(succs)]
                     continue
-            self._first[lbl] = out
-            results.append(out)
-        return results.pop()
+            if low >= found[lbl]:
+                self._first[lbl] = out
+            results.append((out, low))
+        return results.pop()[0]
 
 
 def _resolve_callee(

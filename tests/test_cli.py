@@ -83,6 +83,14 @@ def test_check_reports_parse_errors(corpus, capsys):
     assert "error" in err and out == ""
 
 
+def test_check_rejects_a_synthetic_filter(corpus, capsys):
+    text = LEAKY.replace('filter { action "MAIN"; }', 'synthetic filter { action "MAIN"; }')
+    (corpus / "a.cir").write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, "check", str(corpus / "a.cir"))
+    assert code == 1
+    assert "a.cir:4:15: error: a filter cannot be synthetic" in err and out == ""
+
+
 def test_check_rejects_duplicate_app_ids(corpus, capsys):
     (corpus / "b.cir").write_text(LEAKY, encoding="utf-8")
     code, _, err = _run(capsys, "check", str(corpus))

@@ -6,7 +6,6 @@ import pytest
 from iccflow.icc import (
     TOP,
     UNSET,
-    AbsIntent,
     IccLink,
     IntentValue,
     LinkResult,
@@ -61,6 +60,69 @@ def test_intent_value_join_keeps_option_sets():
 def test_intent_value_top_is_absorbing():
     v = IntentValue.top().join(IntentValue(actions=frozenset({"A"})))
     assert v.targets is TOP and v.actions is TOP
+
+
+def test_transfer_of_each_intent_statement():
+    app = _app(
+        """
+app "T" {
+  component activity Main {
+    method onCreate(this) {
+      i = new_intent
+      set_target i "A"
+      set_target i "B"
+      set_action i "a1"
+      set_action i "a2"
+      set_data_type i "t1"
+      set_data_type i "t2"
+      set_category i "c1"
+      set_category i "c2"
+      v = "x"
+      put_extra i "k" v
+      icc start_activity i
+      put_extra i v v
+      icc start_activity i
+      g = get_intent
+      icc start_activity g
+      m = "s"
+      branch str intent
+    str:
+      goto join
+    intent:
+      m = new_intent
+    join:
+      set_action m "z"
+      icc start_activity m
+    }
+  }
+}
+"""
+    )
+    values = resolve_intent_values(app)
+    written, opaque_key, received, merged = (
+        values[StmtId("T", "Main", "onCreate", block, index)]
+        for block, index in (("b0", 11), ("b0", 13), ("b0", 15), ("join", 1))
+    )
+    # target, action and data type keep the last write; categories add up
+    assert written == IntentValue(
+        targets=frozenset({"B"}),
+        actions=frozenset({"a2"}),
+        categories=frozenset({"c1", "c2"}),
+        data_types=frozenset({"t2"}),
+        extras_keys=frozenset({"k"}),
+    )
+    # a key the analysis cannot name leaves the known keys incomplete
+    assert opaque_key == IntentValue(
+        targets=frozenset({"B"}),
+        actions=frozenset({"a2"}),
+        categories=frozenset({"c1", "c2"}),
+        data_types=frozenset({"t2"}),
+        extras_keys=frozenset({"k"}),
+        extras_complete=False,
+    )
+    assert received == IntentValue.top()
+    # a string on one path and an intent on the other join to the Top intent
+    assert merged == IntentValue(TOP, frozenset({"z"}), TOP, TOP, frozenset(), False)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +653,7 @@ def _reference_resolve(app):
     pass runs every method, the second every method again."""
     pass1 = _ValueSink()
     for comp, method in app.iter_methods():
-        _analyze_method(method, {p: AbsIntent(IntentValue.top()) for p in method.params}, pass1)
+        _analyze_method(method, {p: IntentValue.top() for p in method.params}, pass1)
     pass2 = _ValueSink()
     for comp, method in app.iter_methods():
         init = {}
@@ -602,7 +664,7 @@ def _reference_resolve(app):
                 b = pass1.arg_bindings.get((cls_key, method.name, i))
                 if b is not None:
                     bound = b if bound is None else _join_vals(bound, b)
-            init[param] = AbsIntent(IntentValue.top()) if is_entry or bound is None else bound
+            init[param] = IntentValue.top() if is_entry or bound is None else bound
         _analyze_method(method, init, pass2)
     values = dict(pass2.icc_values)
     for _c, _m, _b, stmt in app.iter_stmts():

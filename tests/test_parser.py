@@ -391,6 +391,7 @@ def test_fast_path_reads_a_line_as_the_token_path_does(line):
     ("x = sink", None), ("return sink", "term"), ("goto call", "term"),
     ("synthetic return", None), ("synthetic l1:", None), ('x = "a#b"  # @tag t', "stmt"),
     ('call "A/C".m()', "stmt"), ("a.f=b", "stmt"), ("\tx\r=\ty", "stmt"), ('x = "a\\q"', None),
+    ('synthetic filter { action "a"; }', None),
 ])
 def test_fast_path_reads_or_declines(line, kind):
     read = parser._read_line(line)

@@ -1,3 +1,6 @@
+from pathlib import Path
+from unittest import mock
+
 import pytest
 
 import oracle
@@ -5,8 +8,9 @@ import progen
 from iccflow.cli import main
 from iccflow.combine import build_iac_graph, split_graph
 from iccflow.icc import links_by_app, match_links, resolve_corpus
-from iccflow.parser import load_corpus, parse_app, serialize_app
-from iccflow.taint import _analyze_set, analyze, parse_config, render_report
+from iccflow.ir import Method
+from iccflow.parser import corpus_files, load_corpus, parse_app, serialize_app
+from iccflow.taint import _analyze_set, _MethodShape, analyze, parse_config, render_report
 from test_propagate import _realizable, _walks
 
 CONF = parse_config(
@@ -442,7 +446,56 @@ app "A" {{
   }}
 }}
 """
-    assert pairs(run(text)) == {("A/Main/onCreate/g3000/0", "A/Main/onCreate/g3000/1")}
+    with mock.patch.object(Method, "successors", autospec=True, side_effect=Method.successors) as succ:
+        assert pairs(run(text)) == {("A/Main/onCreate/g3000/0", "A/Main/onCreate/g3000/1")}
+    # each walk through the chain keeps what it found: linear, not quadratic
+    assert succ.call_count < 10 * 3000
+
+
+LOOP_OF_EMPTY_BLOCKS = """
+app "L" {
+  component activity Main {
+    filter { action "MAIN"; }
+    method onCreate(this) {
+      a = "clean"
+      goto l1
+    l1:
+      branch l2 l3
+    l2:
+      goto l1
+    l3:
+      sink "writeLog" a
+      a = source "getDeviceId"
+      goto l2
+    }
+  }
+}
+"""
+
+
+def test_jump_back_into_a_loop_of_empty_blocks_keeps_its_edge():
+    # The first walk from l1 meets l1 again below l2; l2's first node, read
+    # later from l3, must still include l3.
+    assert pairs(run(LOOP_OF_EMPTY_BLOCKS)) == {("L/Main/onCreate/l3/1", "L/Main/onCreate/l3/0")}
+
+
+def test_first_real_matches_a_fresh_walk(repo_root):
+    """On every method of ``corpus/``, progen seeds 0-9 and the loop above,
+    whichever labels were walked before. (Inside an empty cycle with two
+    exits the order of the nodes, not their set, can still differ.)"""
+    texts = [Path(p).read_text(encoding="utf-8") for p in corpus_files(str(repo_root / "corpus"))]
+    texts += [text for seed in range(10) for text in progen.gen_corpus(seed)]
+    checked = 0
+    for app in _apps(*texts, LOOP_OF_EMPTY_BLOCKS):
+        for comp, method in app.iter_methods():
+            mk = (app.app_id, comp.name, method.name)
+            labels = [b.label for b in method.blocks]
+            for order in (labels, labels[::-1]):
+                shape = _MethodShape(mk, method)
+                for label in order:
+                    assert shape.first_real(label) == _MethodShape(mk, method).first_real(label), (mk, label)
+                    checked += 1
+    assert checked > 200
 
 
 def test_long_chain_of_helper_calls():
