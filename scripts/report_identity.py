@@ -20,10 +20,11 @@ checkout's ``src``, on ``dense``, ``sparse`` and ``widen`` seed 1 and on
 ``corpus/bench`` at ``--max-len 3``. ``PARSES`` does the same for the
 parser: the diagnostics and serialized model of every ``corpus/`` file,
 every ``progen`` corpus of seeds 0-59, 2,000 seeded line mutations of
-them (``progen.line_mutations``), and every file of the three seed-1
-workload corpora, so a parse that ``analyze`` does not show, such as a
-lost ``synthetic`` flag or tag, differs too. Prints one line per case and
-exits 1 if any case differs.
+them (``progen.line_mutations``), every prefix of every ``corpus/`` file
+(cut after each of its lines, so its blocks are left unclosed), and every
+file of the three seed-1 workload corpora, so a parse that ``analyze``
+does not show, such as a lost ``synthetic`` flag or tag, differs too.
+Prints one line per case and exits 1 if any case differs.
 """
 
 from __future__ import annotations
@@ -76,6 +77,14 @@ def _run(checkout: Path, argv: list[str]) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, err
 
 
+def _write_texts(directory: Path, texts: list[str]) -> str:
+    """Write each text to a numbered ``.cir`` file of a new directory."""
+    directory.mkdir()
+    for n, text in enumerate(texts):
+        (directory / f"{n:04d}.cir").write_text(text, encoding="utf-8")
+    return str(directory)
+
+
 def cases(head: Path, work: Path) -> list[tuple[str, list[str]]]:
     """(name, Python arguments) of every compared run; writes the corpora."""
     sys.path[:0] = [str(head / "src"), str(head / "tests"), str(head / "perfbench")]
@@ -111,13 +120,14 @@ def cases(head: Path, work: Path) -> list[tuple[str, list[str]]]:
     out.append(("links corpus/bench", ["links", bench]))
     for name in ("bench", "motivating"):
         out.append((f"instrument corpus/{name}", ["instrument", str(head / "corpus" / name)]))
-    texts = [p.read_text(encoding="utf-8") for p in sorted((head / "corpus").rglob("*.cir"))]
-    texts += [text for seed in range(60) for text in progen.gen_corpus(seed)]
-    parses = work / "parses"
-    parses.mkdir()
-    for n, text in enumerate(texts + progen.line_mutations(texts, 2000, seed=1)):
-        (parses / f"{n:04d}.cir").write_text(text, encoding="utf-8")
-    snippets.append(("parse of corpus texts and line mutations", [PARSES, str(parses)]))
+    shipped = [p.read_text(encoding="utf-8") for p in sorted((head / "corpus").rglob("*.cir"))]
+    texts = shipped + [text for seed in range(60) for text in progen.gen_corpus(seed)]
+    parses = _write_texts(work / "parses", texts + progen.line_mutations(texts, 2000, seed=1))
+    snippets.append(("parse of corpus texts and line mutations", [PARSES, parses]))
+    lines = [text.splitlines(True) for text in shipped]
+    cuts = ["".join(ls[:n]) for ls in lines for n in range(1, len(ls) + 1)]
+    prefixes = _write_texts(work / "prefixes", cuts)
+    snippets.append(("parse of corpus prefixes", [PARSES, prefixes]))
     return [(name, ["-m", "iccflow.cli", *args]) for name, args in out] + [
         (name, ["-c", *args]) for name, args in snippets
     ]

@@ -29,7 +29,7 @@ def combine(apps: list[AppModel]) -> AppModel:
 
     Component objects are shared with the inputs, not copied;
     ``instrument_model`` and ``link_window`` copy on write and never mutate
-    them. The instrumenter's ``sites`` and ``redirects`` are merged too.
+    them. The instrumenter's ``redirects`` are merged too.
     """
     ids = [a.app_id for a in apps]
     if len(set(ids)) != len(ids):
@@ -40,7 +40,6 @@ def combine(apps: list[AppModel]) -> AppModel:
     merged = AppModel(app_id="+".join(sorted(ids)))
     for app in sorted(apps, key=lambda a: a.app_id):
         merged.components.extend(app.components)
-        merged.sites.update(app.sites)
         merged.redirects.update(app.redirects)
     return merged
 

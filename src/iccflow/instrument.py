@@ -386,7 +386,6 @@ def _redirect_sites(
         site = site_counters.get(key, 0)
         site_counters[key] = site + 1
         _replace_site(method, block, index, calls, site)
-        out.sites.update((call.sid, sid) for call in calls)
         out.redirects.update(zip(links, calls))
     if helper.helpers:
         out.components.append(helper)
@@ -399,10 +398,10 @@ def instrument_model(model: AppModel, links: list[IccLink]) -> AppModel:
     linked site are copied; the rest is shared with the input, which is
     never modified. The model realizes the links whose both endpoints live
     inside it; links that point outside (a split window dropped the partner
-    app) leave the call site untouched. The output's ``sites`` maps each
-    redirect call to the ICC site it replaced, and its ``redirects`` each
-    realized link to its call. A model showing any synthetic marker or
-    reserved name is rejected rather than instrumented twice.
+    app) leave the call site untouched. The output's ``redirects`` maps
+    each realized link to the call that replaced its ICC site. A model
+    showing any synthetic marker or reserved name is rejected rather than
+    instrumented twice.
     """
     if _already_instrumented(model):
         raise InstrumentError(
@@ -412,7 +411,7 @@ def instrument_model(model: AppModel, links: list[IccLink]) -> AppModel:
     groups = _group(model, links)
     touched = {sid.method_key for sid in groups}
     components = [_own(c, touched) for c in model.components]
-    out = replace(model, components=components, sites={}, redirects={})
+    out = replace(model, components=components, redirects={})
     _redirect_sites(out, groups, {}, "IpcSC")
 
     linked_targets = {link.to for sid_links in groups.values() for link in sid_links}
@@ -450,7 +449,6 @@ def link_window(model: AppModel, apps: dict[str, AppModel], links: list[IccLink]
         _own(c, touched, apps[c.origin_app].component(c.name)) if c.qualified_name in copied else c
         for c in model.components
     ]
-    sites = {c: s for c, s in model.sites.items() if c.method_key not in touched}
-    out = replace(model, components=components, sites=sites, redirects=dict(model.redirects))
+    out = replace(model, components=components, redirects=dict(model.redirects))
     _redirect_sites(out, groups, model.redirects, f"{out.app_id}/IpcSC")
     return out

@@ -397,8 +397,7 @@ class AppModel:
     app_id: str
     components: list[Component] = field(default_factory=list)
     source_path: Optional[str] = field(default=None, compare=False)
-    # Set by the instrumenter: the ICC site of each redirect call; each link's call.
-    sites: dict[StmtId, StmtId] = field(default_factory=dict, compare=False, repr=False)
+    # Set by the instrumenter: each link's call.
     redirects: dict[object, Call] = field(default_factory=dict, compare=False, repr=False)
 
     def component(self, name: str) -> Optional[Component]:

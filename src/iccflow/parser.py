@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .ir import (
@@ -104,8 +105,8 @@ class Token:
 
 
 class Line(NamedTuple):
-    """A line that holds tokens: its form and what the fast path built from
-    it, or (``kind`` "") its tokens and comment."""
+    """A line that holds tokens: its kind and value, as the fast path or a
+    token reader read them, or (``kind`` "") its tokens and comment."""
 
     kind: str
     value: object
@@ -389,167 +390,169 @@ class _Parser:
 
     # -- line stream ------------------------------------------------------
 
-    def _next_line(self, *kinds: str) -> Optional[Line]:
-        """The next line. One the fast path read as none of ``kinds`` is lexed
-        for the token path, which finds no lexer error in it."""
+    def _next_line(self) -> Optional[Line]:
         if self.idx == len(self.lines):
             return None
         line = self.lines[self.idx]
         self.idx += 1
-        if line.kind and line.kind not in kinds:
-            line = self.lexer.lex(line.text, line.number)
         return line
+
+    def _read(self, reader: Callable[[_Cursor], tuple[str, object]], *kinds: str) -> Optional[Line]:
+        """The next line with its ``(kind, value)``, or None at the end.
+
+        A line the fast path read as one of ``kinds`` comes as it read it.
+        Any other is lexed (the fast path's lines lex clean, and the lines it
+        declined were lexed up front). A line holding only a brace then reads
+        as "}" where ``kinds`` take it, and any other line as ``reader``
+        reads its tokens; a ``ParseError`` becomes a diagnostic and kind "".
+        """
+        line = self._next_line()
+        if line is None or line.kind in kinds:
+            return line
+        if line.kind:
+            line = self.lexer.lex(line.text, line.number)
+        if "}" in kinds and [(tok.kind, tok.text) for tok in line.tokens] == [("punct", "}")]:
+            return line._replace(kind="}")
+        try:
+            kind, value = reader(_Cursor(line, self.path))
+        except ParseError as exc:
+            self.diags.append(exc.diagnostic)
+            kind, value = "", None
+        return line._replace(kind=kind, value=value)
 
     def _err(self, message: str, line: Optional[Line]) -> None:
         number = line.number if line else 0
         self.diags.append(error(message, self.path, number, 1))
 
-    def _skip_block(self, depth: int = 1) -> None:
-        """Skip lines until the currently open braces are balanced."""
+    def _skip_block(self) -> None:
+        """Skip lines until the currently open brace is balanced. The braces
+        are counted by a lexer whose diagnostics are dropped: each line was
+        lexed up front or lexes clean."""
+        depth = 1
         while depth > 0:
             line = self._next_line()
             if line is None:
                 return
-            for tok in line.tokens:
+            for tok in _LineLexer(self.path).lex(line.text, line.number).tokens:
                 if tok.kind == "punct" and tok.text == "{":
                     depth += 1
                 elif tok.kind == "punct" and tok.text == "}":
                     depth -= 1
 
-    @staticmethod
-    def _is_close(line: Line) -> bool:
-        return line.kind == "}" or (
-            len(line.tokens) == 1
-            and line.tokens[0].kind == "punct"
-            and line.tokens[0].text == "}"
-        )
-
     # -- grammar ----------------------------------------------------------
 
     def parse(self) -> Optional[AppModel]:
-        line = self._next_line("app")
+        line = self._read(self._app_header, "app")
         if line is None:
             self._err("empty input: expected 'app \"name\" {'", None)
             return None
-        name = line.value
-        if not line.kind:
-            cur = _Cursor(line, self.path)
-            try:
-                cur.expect("ident", "app")
-                name = cur.expect("string", what="app name string").text
-                cur.expect("punct", "{")
-                cur.expect_done()
-            except ParseError as exc:
-                self.diags.append(exc.diagnostic)
-                return None
-        app = AppModel(app_id=name, source_path=self.path)
+        if line.kind != "app":
+            return None
+        app = AppModel(app_id=line.value, source_path=self.path)
 
         while True:
-            line = self._next_line("}", "class")
+            line = self._read(self._class_header, "}", "class")
             if line is None:
                 self._err("unexpected end of input: unclosed 'app' block", None)
                 return app
-            if self._is_close(line):
+            if line.kind == "}":
                 break
-            comp = self._parse_class(line, app.app_id)
-            if comp is not None:
-                app.components.append(comp)
+            if line.kind == "class":
+                app.components.append(self._parse_class(line, app.app_id))
 
         extra = self._next_line()
         if extra is not None:
             self._err("content after closing '}' of app block", extra)
         return app
 
-    def _parse_class(self, line: Line, app_id: str) -> Optional[Component]:
+    def _app_header(self, cur: _Cursor) -> tuple[str, object]:
+        cur.expect("ident", "app")
+        name = cur.expect("string", what="app name string").text
+        cur.expect("punct", "{")
+        cur.expect_done()
+        return "app", name
+
+    def _class_header(self, cur: _Cursor) -> tuple[str, object]:
+        """A class header; a bad one skips its block."""
+        try:
+            synthetic = cur.accept("ident", "synthetic") is not None
+            if cur.accept("ident", "class"):
+                kind = ComponentKind.CLASS
+            else:
+                cur.expect("ident", "component", what="'component' or 'class'")
+                kind_tok = cur.expect("ident", what="component kind")
+                try:
+                    kind = ComponentKind(kind_tok.text)
+                except ValueError:
+                    raise cur.fail(f"unknown component kind {kind_tok.text!r}")
+                if kind is ComponentKind.CLASS:
+                    raise cur.fail("use 'class Name' for plain classes")
+            name = cur.expect("ident", what="class name").text
+            origin = None
+            if cur.accept("ident", "from"):
+                origin = cur.expect("string", what="origin app string").text
+            cur.expect("punct", "{")
+            cur.expect_done()
+        except ParseError:
+            self._skip_block()
+            raise
+        return "class", Component(name=name, kind=kind, synthetic=synthetic, origin_app=origin)
+
+    def _parse_class(self, line: Line, app_id: str) -> Component:
         comp = line.value
-        if not line.kind:
-            cur = _Cursor(line, self.path)
-            try:
-                synthetic = cur.accept("ident", "synthetic") is not None
-                if cur.accept("ident", "class"):
-                    kind = ComponentKind.CLASS
-                else:
-                    cur.expect("ident", "component", what="'component' or 'class'")
-                    kind_tok = cur.expect("ident", what="component kind")
-                    try:
-                        kind = ComponentKind(kind_tok.text)
-                    except ValueError:
-                        raise cur.fail(f"unknown component kind {kind_tok.text!r}")
-                    if kind is ComponentKind.CLASS:
-                        raise cur.fail("use 'class Name' for plain classes")
-                name = cur.expect("ident", what="class name").text
-                origin = None
-                if cur.accept("ident", "from"):
-                    origin = cur.expect("string", what="origin app string").text
-                cur.expect("punct", "{")
-                cur.expect_done()
-            except ParseError as exc:
-                self.diags.append(exc.diagnostic)
-                self._skip_block()
-                return None
-            comp = Component(name=name, kind=kind, synthetic=synthetic, origin_app=origin)
         if comp.origin_app is None:
             comp.origin_app = app_id
         while True:
-            body_line = self._next_line("}", "method", "callback", "filter")
-            if body_line is None:
+            member = self._read(self._member, "}", "method", "callback", "filter")
+            if member is None:
                 self._err(f"unclosed block for {comp.name!r}", line)
                 return comp
-            if self._is_close(body_line):
+            if member.kind == "}":
                 return comp
-            self._parse_member(body_line, comp)
+            if member.kind == "filter":
+                comp.filters.append(member.value)
+            elif member.kind in ("method", "callback"):
+                method = member.value
+                self._parse_body(method, comp)
+                if member.kind == "callback":
+                    comp.callbacks.append(method)
+                elif method.name in LIFECYCLE_SLOTS[comp.kind]:
+                    comp.lifecycle[method.name] = method
+                else:
+                    comp.helpers.append(method)
 
-    def _parse_member(self, line: Line, comp: Component) -> None:
-        if line.kind == "filter":
-            comp.filters.append(line.value)
-            return
-        keyword, method = line.kind, line.value  # a method or callback header
-        if not keyword:
-            cur = _Cursor(line, self.path)
-            synthetic = cur.accept("ident", "synthetic") is not None
-            head = cur.peek()
-            if head.kind == "ident" and head.text == "filter":
-                try:
-                    if synthetic:
-                        raise cur.fail("a filter cannot be synthetic")
-                    comp.filters.append(self._parse_filter(cur))
-                except ParseError as exc:
-                    self.diags.append(exc.diagnostic)
-                return
-            if head.kind != "ident" or head.text not in ("method", "callback"):
-                self._err(f"expected 'filter', 'method' or 'callback', got {head.text!r}", line)
-                return
-            keyword = cur.next().text
-            try:
-                name = cur.expect("ident", what="method name").text
-                params = self._names(cur, lambda: cur.expect("ident", what="parameter name").text)
-                cur.expect("punct", "{")
-                cur.expect_done()
-            except ParseError as exc:
-                self.diags.append(exc.diagnostic)
-                self._skip_block()
-                return
-            method = Method(name=name, params=params, synthetic=synthetic)
-        self._parse_body(method, comp)
-        if keyword == "callback":
-            comp.callbacks.append(method)
-        elif method.name in LIFECYCLE_SLOTS[comp.kind]:
-            comp.lifecycle[method.name] = method
-        else:
-            comp.helpers.append(method)
-
-    def _parse_filter(self, cur: _Cursor) -> IntentFilter:
-        cur.expect("ident", "filter")
-        cur.expect("punct", "{")
-        entries: list[tuple[str, str]] = []
-        while not cur.accept("punct", "}"):
-            key = cur.expect("ident", what="'action', 'category' or 'data_type'")
-            if key.text not in ("action", "category", "data_type"):
-                raise cur.fail(f"unknown filter entry {key.text!r}")
-            entries.append((key.text, cur.expect("string", what="filter value string").text))
-            cur.accept("punct", ";")
-        cur.expect_done()
-        return _intent_filter(entries)
+    def _member(self, cur: _Cursor) -> tuple[str, object]:
+        """A filter, or a method or callback header; a bad header skips its
+        block."""
+        synthetic = cur.accept("ident", "synthetic") is not None
+        head = cur.peek()
+        if head.kind == "ident" and head.text == "filter":
+            if synthetic:
+                raise cur.fail("a filter cannot be synthetic")
+            cur.next()
+            cur.expect("punct", "{")
+            entries: list[tuple[str, str]] = []
+            while not cur.accept("punct", "}"):
+                key = cur.expect("ident", what="'action', 'category' or 'data_type'")
+                if key.text not in ("action", "category", "data_type"):
+                    raise cur.fail(f"unknown filter entry {key.text!r}")
+                entries.append((key.text, cur.expect("string", what="filter value string").text))
+                cur.accept("punct", ";")
+            cur.expect_done()
+            return "filter", _intent_filter(entries)
+        if head.kind != "ident" or head.text not in ("method", "callback"):
+            message = f"expected 'filter', 'method' or 'callback', got {head.text!r}"
+            raise ParseError(error(message, self.path, cur.line.number, 1))
+        keyword = cur.next().text
+        try:
+            name = cur.expect("ident", what="method name").text
+            params = self._names(cur, lambda: cur.expect("ident", what="parameter name").text)
+            cur.expect("punct", "{")
+            cur.expect_done()
+        except ParseError:
+            self._skip_block()
+            raise
+        return keyword, Method(name=name, params=params, synthetic=synthetic)
 
     # -- method bodies ------------------------------------------------------
 
@@ -557,57 +560,31 @@ class _Parser:
         blocks: list[Block] = []
         current: Optional[Block] = None
         terminated = False
-
-        def close_current() -> None:
-            nonlocal current, terminated
-            if current is not None:
-                blocks.append(current)
-            current = None
-            terminated = False
+        after_terminator = partial(self._body_line, terminated=True)
 
         while True:
             if terminated:
-                line = self._next_line("}", "label")
+                line = self._read(after_terminator, "}", "label")
             else:
-                line = self._next_line("}", "label", "stmt", "term")
+                line = self._read(self._body_line, "}", "label", "stmt", "term")
             if line is None:
                 self._err(f"unclosed body of {comp.name}.{method.name}", None)
                 break
-            if self._is_close(line):
+            if line.kind == "}":
                 break
-            # Label line: IDENT ':'
-            if line.kind == "label" or (
-                len(line.tokens) == 2
-                and line.tokens[0].kind == "ident"
-                and line.tokens[0].text not in _KEYWORDS
-                and line.tokens[1].kind == "punct"
-                and line.tokens[1].text == ":"
-            ):
-                close_current()
-                current = Block(label=line.value if line.kind else line.tokens[0].text)
+            if line.kind == "label":
+                if current is not None:
+                    blocks.append(current)
+                current, terminated = Block(label=line.value), False
                 continue
             if current is None:
                 current = Block(label="b0")
             if line.kind == "stmt":
                 current.stmts.append(line.value)
-                continue
-            if line.kind == "term":
+            elif line.kind == "term":
                 current.term, terminated = line.value, True
-                continue
-            cur = _Cursor(line, self.path)
-            try:
-                if terminated:
-                    raise cur.fail("statement after terminator needs a block label")
-                term = self._try_terminator(cur)
-                if term is not None:
-                    current.term = term
-                    terminated = True
-                    continue
-                stmt = self._parse_stmt(cur, line)
-                current.stmts.append(stmt)
-            except ParseError as exc:
-                self.diags.append(exc.diagnostic)
-        close_current()
+        if current is not None:
+            blocks.append(current)
         if not blocks:
             blocks.append(Block(label="b0", term=Return()))
         method.blocks = blocks
@@ -617,25 +594,28 @@ class _Parser:
                     comp.origin_app, comp.name, method.name, block.label, i
                 )
 
-    def _try_terminator(self, cur: _Cursor):
-        head = cur.peek()
-        if head.kind != "ident" or head.text not in ("goto", "branch", "return"):
-            return None
-        cur.next()
-        if head.text == "goto":
+    def _body_line(self, cur: _Cursor, terminated: bool = False) -> tuple[str, object]:
+        """A label, a terminator or a statement; after a terminator, only a
+        label."""
+        label = cur.accept("ident")
+        if label and label.text not in _KEYWORDS and cur.accept("punct", ":") and cur.peek().kind == "end":
+            return "label", label.text
+        cur.pos = 0
+        if terminated:
+            raise cur.fail("statement after terminator needs a block label")
+        if cur.accept("ident", "goto"):
             term = Goto(cur.expect("ident", what="block label").text)
-        elif head.text == "branch":
+        elif cur.accept("ident", "branch"):
             left = cur.expect("ident", what="block label").text
             right = cur.expect("ident", what="block label").text
             term = Branch(left, right)
+        elif cur.accept("ident", "return"):
+            var = cur.accept("ident")
+            term = Return(var.text if var else None)
         else:
-            var = None
-            tok = cur.accept("ident")
-            if tok is not None:
-                var = tok.text
-            term = Return(var)
+            return "stmt", self._parse_stmt(cur)
         cur.expect_done()
-        return term
+        return "term", term
 
     def _operand(self, cur: _Cursor, what: str) -> Operand:
         tok = cur.peek()
@@ -654,12 +634,12 @@ class _Parser:
             return tok.text
         raise cur.fail(f"expected {what}")
 
-    def _parse_stmt(self, cur: _Cursor, line: Line) -> Stmt:
+    def _parse_stmt(self, cur: _Cursor) -> Stmt:
         synthetic = cur.accept("ident", "synthetic") is not None
         stmt = self._parse_stmt_inner(cur)
         cur.expect_done()
         stmt.synthetic = synthetic
-        stmt.tag = _tag(line.comment)
+        stmt.tag = _tag(cur.line.comment)
         return stmt
 
     def _parse_stmt_inner(self, cur: _Cursor) -> Stmt:

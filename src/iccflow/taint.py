@@ -152,38 +152,38 @@ class _MethodShape:
 
         Empty blocks are walked through depth-first, left branch first, with
         an explicit stack; a label met again within one walk (an empty
-        cycle) contributes nothing. Such a cut leaves the labels between the
-        two meetings incomplete, so, as in Tarjan's algorithm, each result
-        carries the lowest discovery index a cut below it hit, and a label's
-        result is kept for later walks only if that index is not below the
-        label's own. The walked label has index 0, so its result is kept.
+        cycle) contributes nothing. A label's list is kept for later walks
+        only if its own walk met no label already walked: the labels under
+        it then form a tree, but for those that reach no node, so a later
+        walk reads the list as a fresh walk would. If the whole walk found
+        no node, none of the labels it walked reaches one, and each keeps
+        ``[]``.
         """
         if label in self._first:
             return self._first[label]
-        found: dict[str, int] = {}  # discovery index of each label walked
-        uncut = len(self.index)  # above every discovery index
-        results: list[tuple[list[Node], int]] = []  # (nodes, lowest index cut)
+        found: set[str] = set()
+        results: list[tuple[list[Node], bool]] = []  # (nodes, met a label already walked)
         # (label, 0) visits a block; (label, n) joins the results its n
         # successors left on top of ``results``.
         stack: list[tuple[str, int]] = [(label, 0)]
         while stack:
             lbl, n = stack.pop()
-            low = uncut
+            met = False
             if n:
                 out = _join(nodes for nodes, _ in results[-n:])
-                low = min(cut for _, cut in results[-n:])
+                met = any(m for _, m in results[-n:])
                 del results[-n:]
             elif lbl in self._first:
-                results.append((self._first[lbl], uncut))
+                results.append((self._first[lbl], False))
                 continue
             elif lbl in found:
-                results.append(([], found[lbl]))
+                results.append(([], True))
                 continue
             elif lbl not in self.index:
-                results.append(([], uncut))
+                results.append(([], False))
                 continue
             else:
-                found[lbl] = len(found)
+                found.add(lbl)
                 idx = self.index[lbl]
                 block = self.method.blocks[idx]
                 succs = self.method.successors(idx)
@@ -195,10 +195,13 @@ class _MethodShape:
                     stack.append((lbl, len(succs)))
                     stack += [(s, 0) for s in reversed(succs)]
                     continue
-            if low >= found[lbl]:
+            if not met:
                 self._first[lbl] = out
-            results.append((out, low))
-        return results.pop()[0]
+            results.append((out, met))
+        out = results.pop()[0]
+        if not out:
+            self._first.update(dict.fromkeys(found, out))
+        return out
 
 
 def _resolve_callee(
@@ -994,7 +997,8 @@ class _Reuse:
 
     def record(self, window: _Window, preds: dict, sites: dict[StmtId, StmtId]) -> None:
         """Record the window's sources but the skipped ones, read off the
-        (node, fact) of each path edge ``propagate`` left in ``preds``."""
+        (node, fact) of each path edge ``propagate`` left in ``preds``.
+        ``sites`` maps each redirect call to the ICC site it replaced."""
         keep = {a for a in window.apps if self.left[a] > 0}
         if not keep:
             return
@@ -1038,7 +1042,8 @@ def _analyze_set(
         return [], [Diagnostic("error", str(exc))], time.perf_counter() - started
     cfg = build_cfg(inst, config, window.skip)
     res = propagate(cfg, config, window.skip)
-    reuse.record(window, res.preds, inst.sites)
+    sites = {call.sid: link.from_stmt for link, call in inst.redirects.items()}
+    reuse.record(window, res.preds, sites)
     paths = extract_paths(res, cfg)
     return paths, list(cfg.diagnostics), time.perf_counter() - started
 

@@ -274,6 +274,51 @@ def test_golden_mutations_cover_every_parser_diagnostic():
     assert [h for h in PARSER_DIAGNOSTICS if not any(m.startswith(h) for m in messages)] == []
 
 
+# The diagnostics of the app, class and body structure, which line mutations
+# rarely produce: (line, column, message) of each, in order.
+@pytest.mark.parametrize("text, diags", [
+    ("", [(0, 1, "empty input: expected 'app \"name\" {'")]),
+    ("# nothing\n\n", [(0, 1, "empty input: expected 'app \"name\" {'")]),
+    ("app X {\n}\n", [(1, 5, "expected app name string, got 'X'")]),
+    ("}\n", [(1, 1, "expected app, got '}'")]),
+    ('app "A" {\n  class C {\n', [
+        (2, 1, "unclosed block for 'C'"), (0, 1, "unexpected end of input: unclosed 'app' block")]),
+    ('app "A" {\n  class C {\n    method m() {\n      x = "a"\n', [
+        (0, 1, "unclosed body of C.m"), (2, 1, "unclosed block for 'C'"),
+        (0, 1, "unexpected end of input: unclosed 'app' block")]),
+    ('app "A" {\n  component class X {\n    method m() {\n    }\n  }\n  class Y {\n  }\n}\n',
+     [(2, 19, "use 'class Name' for plain classes")]),
+    ('app "A" {\n  class X from Y {\n  }\n}\n', [(2, 16, "expected origin app string, got 'Y'")]),
+])
+def test_structural_diagnostics(text, diags):
+    assert [(line, col, msg) for line, col, _, msg in _raw_parse(text)[1]] == diags
+
+
+def test_bad_headers_skip_their_block_and_a_bad_filter_skips_nothing():
+    text = """app "A" {
+  component widget W {
+    method m() {
+    }
+  }
+  class C {
+    method bad(,) {
+      x = "a"
+    }
+    filter { sink "a"; }
+    method good() {
+    }
+  }
+}
+"""
+    app, diags = _raw_parse(text)
+    assert [(line, col, msg) for line, col, _, msg in diags] == [
+        (2, 20, "unknown component kind 'widget'"),
+        (7, 16, "expected parameter name, got ','"),
+        (10, 19, "unknown filter entry 'sink'"),
+    ]
+    assert [(c.name, [m.name for m in c.methods()], c.filters) for c in app.components] == [("C", ["good"], [])]
+
+
 # -- the fast path -------------------------------------------------------------
 
 def _raw_parse(text: str):
@@ -288,11 +333,13 @@ def _token_parse(text: str):
         return _raw_parse(text)
 
 
-# Where a line can stand: in a method body, among a class's members, among
-# an app's classes, and first.
+# Where a line can stand: in a method body, in one after a terminator, among
+# a class's members, among an app's classes, and first.
 PLACES = (
     'app "A" {{\n  component activity Main {{\n    method onCreate(this) {{\n{}\n'
     "      return\n    }}\n  }}\n}}\n",
+    'app "A" {{\n  component activity Main {{\n    method onCreate(this) {{\n      return\n{}\n'
+    "    }}\n  }}\n}}\n",
     'app "A" {{\n  component activity Main {{\n{}\n  }}\n}}\n',
     'app "A" {{\n{}\n}}\n',
     "{}\n}}\n",
