@@ -541,7 +541,8 @@ class _Parser:
             cur.expect_done()
             return "filter", _intent_filter(entries)
         if head.kind != "ident" or head.text not in ("method", "callback"):
-            message = f"expected 'filter', 'method' or 'callback', got {head.text!r}"
+            shown = head.text if head.kind != "end" else "end of line"
+            message = f"expected 'filter', 'method' or 'callback', got {shown!r}"
             raise ParseError(error(message, self.path, cur.line.number, 1))
         keyword = cur.next().text
         try:

@@ -28,7 +28,6 @@ from .ir import (
     Assign,
     Call,
     Component,
-    Const,
     Diagnostic,
     FieldLoad,
     FieldStore,
@@ -37,8 +36,6 @@ from .ir import (
     IccCall,
     GetIntent,
     Method,
-    NewIntent,
-    NewObj,
     PutExtra,
     Return,
     SetResult,
@@ -236,6 +233,10 @@ def _resolve_callee(
     return target, m
 
 
+# The methods the instrumenter synthesizes for get_intent and set_result.
+_ACCESSORS = {GetIntent: "getIntent", SetResult: "setResult"}
+
+
 def _call_info_for(
     cfg: Cfg,
     comp: Component,
@@ -257,19 +258,15 @@ def _call_info_for(
         return CallInfo(
             (target.origin_app, target.name, m.name), stmt.args, m.params, stmt.dst
         )
-    if isinstance(stmt, GetIntent):
-        m = comp.find_method("getIntent")
-        if m is None or not m.synthetic:
-            return None
-        return CallInfo((comp.origin_app, comp.name, m.name), ("this",), m.params, stmt.dst)
-    if isinstance(stmt, SetResult):
-        m = comp.find_method("setResult")
-        if m is None or not m.synthetic:
-            return None
-        return CallInfo(
-            (comp.origin_app, comp.name, m.name), ("this", stmt.intent), m.params, None
-        )
-    return None
+    name = _ACCESSORS.get(type(stmt))
+    if name is None:
+        return None
+    m = comp.find_method(name)
+    if m is None or not m.synthetic:
+        return None
+    args = ("this", *_stmt_uses(stmt))
+    dst = getattr(stmt, "dst", None)
+    return CallInfo((comp.origin_app, comp.name, m.name), args, m.params, dst)
 
 
 def build_cfg(
@@ -412,70 +409,49 @@ def _truncate(chain: tuple) -> tuple:
     return chain
 
 
+def _access(stmt: Stmt) -> tuple[str, tuple]:
+    """The object and selector a store or load reaches: a field, a literal
+    extra key, or ``WILD`` for a variable extra key."""
+    if isinstance(stmt, (FieldStore, FieldLoad)):
+        return stmt.obj, ("f", stmt.fld)
+    if stmt.key.is_literal:
+        return stmt.intent, ("e", stmt.key.text)
+    return stmt.intent, WILD
+
+
 def _stmt_flow(stmt: Stmt, f: Fact) -> list[Fact]:
-    """Distributive transfer for one non-call statement and one fact."""
-    if isinstance(stmt, Assign):
-        out = [] if f.base == stmt.dst else [f]
-        if f.base == stmt.src:
-            out.append(Fact(stmt.dst, f.chain, f.origin))
+    """Distributive transfer for one non-call statement and one fact.
+
+    A store (field store, ``put_extra``) kills the facts under its selector
+    unless that is ``WILD``, and puts the stored value's facts there, cut to
+    ``K`` selectors. Any other statement kills the facts on its ``dst``; a
+    copy gens its source's facts there, and a load (field load, ``get_extra``)
+    those under its selector, where a ``WILD`` head gives two facts and a
+    variable extra key reads any extra. A source gens from ``ZERO`` in
+    ``propagate``; an opaque call's result is clean.
+    """
+    if isinstance(stmt, (FieldStore, PutExtra)):
+        obj, sel = _access(stmt)
+        killed = sel != WILD and f.base == obj and f.chain[:1] == (sel,)
+        out = [] if killed else [f]
+        if f.base == _stmt_uses(stmt)[-1]:  # the stored value
+            out.append(Fact(obj, _truncate((sel,) + f.chain), f.origin))
         return out
 
-    if isinstance(stmt, (Const, NewIntent, NewObj, SourceCall, GetIntent)):
-        # fresh clean value into dst (sources gen separately from zero)
-        return [] if f.base == stmt.dst else [f]
-
-    if isinstance(stmt, PutExtra):
-        out = []
-        killed = (
-            f.base == stmt.intent
-            and f.chain
-            and stmt.key.is_literal
-            and f.chain[0] == ("e", stmt.key.text)
-        )
-        if not killed:
-            out.append(f)
-        if f.base == stmt.value:
-            sel = ("e", stmt.key.text) if stmt.key.is_literal else WILD
-            out.append(Fact(stmt.intent, _truncate((sel,) + f.chain), f.origin))
-        return out
-
-    if isinstance(stmt, GetExtra):
-        out = [] if f.base == stmt.dst else [f]
-        if f.base == stmt.intent and f.chain:
+    dst = getattr(stmt, "dst", None)
+    out = [] if f.base == dst else [f]
+    if isinstance(stmt, Assign) and f.base == stmt.src:
+        out.append(Fact(dst, f.chain, f.origin))
+    elif isinstance(stmt, (FieldLoad, GetExtra)):
+        obj, sel = _access(stmt)
+        if f.base == obj and f.chain:
             head = f.chain[0]
             if head == WILD:
-                out.append(Fact(stmt.dst, (), f.origin))
-                out.append(Fact(stmt.dst, (WILD,), f.origin))
-            elif head[0] == "e" and (not stmt.key.is_literal or head[1] == stmt.key.text):
-                out.append(Fact(stmt.dst, f.chain[1:], f.origin))
-        return out
-
-    if isinstance(stmt, FieldStore):
-        out = []
-        killed = f.base == stmt.obj and f.chain and f.chain[0] == ("f", stmt.fld)
-        if not killed:
-            out.append(f)
-        if f.base == stmt.src:
-            out.append(Fact(stmt.obj, _truncate((("f", stmt.fld),) + f.chain), f.origin))
-        return out
-
-    if isinstance(stmt, FieldLoad):
-        out = [] if f.base == stmt.dst else [f]
-        if f.base == stmt.obj and f.chain:
-            head = f.chain[0]
-            if head == WILD:
-                out.append(Fact(stmt.dst, (), f.origin))
-                out.append(Fact(stmt.dst, (WILD,), f.origin))
-            elif head == ("f", stmt.fld):
-                out.append(Fact(stmt.dst, f.chain[1:], f.origin))
-        return out
-
-    if isinstance(stmt, Call):  # unresolved callee: opaque, result is clean
-        return [] if stmt.dst is not None and f.base == stmt.dst else [f]
-
-    # set_target/set_action/set_category/set_data_type carry no taint;
-    # sink/icc/finish/opaque set_result leave facts untouched
-    return [f]
+                out.append(Fact(dst, (), f.origin))
+                out.append(Fact(dst, (WILD,), f.origin))
+            elif head == sel or sel == WILD and head[0] == "e":
+                out.append(Fact(dst, f.chain[1:], f.origin))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +476,6 @@ class TaintResult:
 
     hits: list[SinkHit] = field(default_factory=list)
     preds: dict = field(default_factory=dict)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
 def _map_into(d: Fact, info: CallInfo) -> list[Fact]:

@@ -1,0 +1,40 @@
+"""No module of the package imports a name it never uses.
+
+A name a module imports at top level must appear in its code or in its
+``__all__``; ``from __future__`` imports are exempt. Deleting the last use
+of an imported name then fails here until the import goes too.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "iccflow").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: list[str] = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_the_guard_sees_an_unused_import():
+    source = "from __future__ import annotations\nimport os, re\nfrom x import a, b as c\n"
+    assert unused_imports(source + "re.compile(c)\n__all__ = ['a']\n") == ["os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_top_level_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -289,6 +289,8 @@ def test_golden_mutations_cover_every_parser_diagnostic():
     ('app "A" {\n  component class X {\n    method m() {\n    }\n  }\n  class Y {\n  }\n}\n',
      [(2, 19, "use 'class Name' for plain classes")]),
     ('app "A" {\n  class X from Y {\n  }\n}\n', [(2, 16, "expected origin app string, got 'Y'")]),
+    ('app "A" {\n  class C {\n    synthetic\n  }\n}\n',
+     [(3, 1, "expected 'filter', 'method' or 'callback', got 'end of line'")]),
 ])
 def test_structural_diagnostics(text, diags):
     assert [(line, col, msg) for line, col, _, msg in _raw_parse(text)[1]] == diags

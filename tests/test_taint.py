@@ -8,9 +8,48 @@ import progen
 from iccflow.cli import main
 from iccflow.combine import build_iac_graph, split_graph
 from iccflow.icc import links_by_app, match_links, resolve_corpus
-from iccflow.ir import Method
+from iccflow.ir import (
+    AppModel,
+    Assign,
+    Call,
+    Component,
+    ComponentKind,
+    Const,
+    FieldLoad,
+    FieldStore,
+    Finish,
+    GetExtra,
+    GetIntent,
+    IccCall,
+    Lit,
+    Method,
+    NewIntent,
+    NewObj,
+    PutExtra,
+    SetAction,
+    SetCategory,
+    SetDataType,
+    SetResult,
+    SetTarget,
+    SinkCall,
+    SourceCall,
+    StmtId,
+    Var,
+)
 from iccflow.parser import corpus_files, load_corpus, parse_app, serialize_app
-from iccflow.taint import _analyze_set, _MethodShape, analyze, parse_config, render_report
+from iccflow.taint import (
+    WILD,
+    CallInfo,
+    Cfg,
+    Fact,
+    _analyze_set,
+    _call_info_for,
+    _MethodShape,
+    _stmt_flow,
+    analyze,
+    parse_config,
+    render_report,
+)
 from test_propagate import _realizable, _walks
 
 CONF = parse_config(
@@ -207,6 +246,108 @@ app "A" {
 }
 """
     assert run(text).paths == []
+
+
+# ---------------------------------------------------------------------------
+# transfer rules, one statement and one fact at a time
+# ---------------------------------------------------------------------------
+
+ORIGIN = StmtId("A", "C", "m", "b0", 0)
+
+
+def F(base, *chain):
+    return Fact(base, chain, ORIGIN)
+
+
+EK, EJ, FA, FB = ("e", "k"), ("e", "j"), ("f", "a"), ("f", "b")
+PUT_K = PutExtra(intent="i", key=Lit("k"), value="v")
+PUT_VAR = PutExtra(intent="i", key=Var("k"), value="v")
+GET_K = GetExtra(dst="x", intent="i", key=Lit("k"))
+GET_VAR = GetExtra(dst="x", intent="i", key=Var("k"))
+LOAD_A = FieldLoad(dst="x", obj="o", fld="a")
+STORE_A = FieldStore(obj="o", fld="a", src="v")
+
+
+@pytest.mark.parametrize("stmt, fact, want", [
+    # a literal selector's store kills only what lies under that selector
+    (PUT_K, F("i", EK), []),
+    (PUT_K, F("i", EJ), [F("i", EJ)]),
+    (PUT_K, F("i", WILD), [F("i", WILD)]),
+    (PUT_K, F("i"), [F("i")]),
+    (PUT_K, F("v"), [F("v"), F("i", EK)]),
+    (PUT_K, F("v", FA, FB), [F("v", FA, FB), F("i", EK, WILD)]),
+    (STORE_A, F("o", FA), []),
+    (STORE_A, F("o", FB), [F("o", FB)]),
+    (STORE_A, F("v", EK, FB), [F("v", EK, FB), F("o", FA, WILD)]),
+    (FieldStore(obj="o", fld="a", src="o"), F("o", FA), [F("o", FA, FA)]),
+    # a variable key's store kills nothing and stores under WILD
+    (PUT_VAR, F("i", EK), [F("i", EK)]),
+    (PUT_VAR, F("i", WILD), [F("i", WILD)]),
+    (PUT_VAR, F("v"), [F("v"), F("i", WILD)]),
+    (PUT_VAR, F("v", FA), [F("v", FA), F("i", WILD, FA)]),
+    # loads
+    (GET_K, F("i", WILD), [F("i", WILD), F("x"), F("x", WILD)]),
+    (GET_K, F("i", EK, FA), [F("i", EK, FA), F("x", FA)]),
+    (GET_K, F("i", EJ), [F("i", EJ)]),
+    (GET_K, F("i"), [F("i")]),
+    (GET_K, F("x", EK), []),
+    (GET_VAR, F("i", EJ), [F("i", EJ), F("x")]),
+    (GET_VAR, F("i", FA), [F("i", FA)]),
+    (GET_VAR, F("i", WILD, FA), [F("i", WILD, FA), F("x"), F("x", WILD)]),
+    (LOAD_A, F("o", FB), [F("o", FB)]),
+    (LOAD_A, F("o", EK), [F("o", EK)]),
+    (LOAD_A, F("o", FA, EK), [F("o", FA, EK), F("x", EK)]),
+    (LOAD_A, F("o", WILD), [F("o", WILD), F("x"), F("x", WILD)]),
+    (FieldLoad(dst="o", obj="o", fld="a"), F("o", FA), [F("o")]),
+    # copies
+    (Assign(dst="x", src="x"), F("x", FA), [F("x", FA)]),
+    (Assign(dst="y", src="x"), F("x"), [F("x"), F("y")]),
+    (Assign(dst="y", src="x"), F("y", FA), []),
+    # every other statement that writes a dst kills the facts on it
+    (Const(dst="x", value="c"), F("x", FA), []),
+    (Const(dst="x", value="c"), F("y"), [F("y")]),
+    (NewIntent(dst="x"), F("x"), []),
+    (NewObj(dst="x", cls="C"), F("x", FA), []),
+    (SourceCall(dst="x", source="getLocation"), F("x"), []),
+    (GetIntent(dst="x"), F("x", EK), []),
+    (Call(dst="x", method="m", args=("x",)), F("x"), []),
+    (Call(dst="x", method="m", args=("y",)), F("y", FA), [F("y", FA)]),
+    (Call(method="m", args=("x",)), F("x", FA), [F("x", FA)]),
+    # the rest pass facts through
+    (SinkCall(sink="writeLog", var="x"), F("x"), [F("x")]),
+    (SetTarget(intent="i", value=Var("x")), F("i", EK), [F("i", EK)]),
+    (SetAction(intent="i", value=Var("x")), F("x"), [F("x")]),
+    (SetCategory(intent="i", value=Lit("c")), F("i"), [F("i")]),
+    (SetDataType(intent="i", value=Var("i")), F("i", WILD), [F("i", WILD)]),
+    (IccCall(kind="start_activity", intent="i"), F("i", EK), [F("i", EK)]),
+    (Finish(), F("x"), [F("x")]),
+    (SetResult(intent="i"), F("i", EK), [F("i", EK)]),
+])
+def test_stmt_flow_rules(stmt, fact, want):
+    assert _stmt_flow(stmt, fact) == want
+
+
+def _accessor_class(*methods):
+    return Component(name="C", kind=ComponentKind.ACTIVITY, origin_app="A", helpers=list(methods))
+
+
+def test_accessors_gain_call_wiring_once_synthesized():
+    get_intent, set_result = GetIntent(dst="x"), SetResult(intent="i")
+    comp = _accessor_class(
+        Method("getIntent", ("this",), synthetic=True),
+        Method("setResult", ("this", "r"), synthetic=True),
+    )
+    cfg = Cfg(model=AppModel("A", [comp]))
+    assert _call_info_for(cfg, comp, get_intent, {}, {}) == CallInfo(
+        ("A", "C", "getIntent"), ("this",), ("this",), "x"
+    )
+    assert _call_info_for(cfg, comp, set_result, {}, {}) == CallInfo(
+        ("A", "C", "setResult"), ("this", "i"), ("this", "r"), None
+    )
+    for bare in (_accessor_class(), _accessor_class(Method("getIntent"), Method("setResult"))):
+        assert _call_info_for(cfg, bare, get_intent, {}, {}) is None
+        assert _call_info_for(cfg, bare, set_result, {}, {}) is None
+    assert cfg.diagnostics == []
 
 
 # ---------------------------------------------------------------------------
