@@ -12,8 +12,10 @@ seeds 1 and 2, built with the head's ``perfbench/workloads.py``;
 ``corpus/bench`` at ``--max-len`` 2, 3 and 4, as text and as TSV;
 ``corpus/warnings``, whose analysis warns of unknown callees, at
 ``--max-len`` 2 and 3; ``bench corpus/bench`` as text and as TSV;
-``instrument`` on ``corpus/bench`` and ``corpus/motivating``; and ``links``,
-the resolved intent links, on every workload corpus and on ``corpus/bench``.
+``instrument`` on ``corpus/bench``, ``corpus/motivating`` and the three
+seed-1 workload corpora, so every ``dummyMain`` they get is compared; and
+``links``, the resolved intent links, on every workload corpus and on
+``corpus/bench``.
 Reports show only a path's length, so it also compares every path's full
 statement list, printed by ``WITNESSES`` in-process against each
 checkout's ``src``, on ``dense``, ``sparse`` and ``widen`` seed 1 and on
@@ -24,12 +26,16 @@ them (``progen.line_mutations``), every prefix of every ``corpus/`` file
 (cut after each of its lines, so its blocks are left unclosed), and every
 file of the three seed-1 workload corpora, so a parse that ``analyze``
 does not show, such as a lost ``synthetic`` flag or tag, differs too.
-Prints one line per case and exits 1 if any case differs.
+Prints one line per case, then, for each differing stream of a case, the
+first lines of its ``difflib.unified_diff`` (no context lines), and exits 1
+if any case differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
+import itertools
 import os
 import subprocess
 import sys
@@ -38,6 +44,7 @@ from pathlib import Path
 
 WORKLOADS = (("dense", 2), ("sparse", 2), ("widen", 3))
 SEEDS = (1, 2)
+DIFF_LINES = 40  # diff lines printed per differing stream
 
 # argv: corpus directory, --max-len, config; one line per path, in report order
 WITNESSES = """
@@ -77,6 +84,16 @@ def _run(checkout: Path, argv: list[str]) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, err
 
 
+def _diff(part: str, want: str, got: str) -> list[str]:
+    """The first ``DIFF_LINES`` lines of the base-to-head diff of one
+    stream, indented, and how many more there are."""
+    lines = difflib.unified_diff(want.splitlines(), got.splitlines(), f"base {part}",
+                                 f"head {part}", n=0, lineterm="")
+    shown = [f"    {line}" for line in itertools.islice(lines, DIFF_LINES)]
+    rest = sum(1 for _ in lines)
+    return shown + [f"    ... {rest} more diff lines"] if rest else shown
+
+
 def _write_texts(directory: Path, texts: list[str]) -> str:
     """Write each text to a numbered ``.cir`` file of a new directory."""
     directory.mkdir()
@@ -101,6 +118,7 @@ def cases(head: Path, work: Path) -> list[tuple[str, list[str]]]:
                         ["analyze", str(corpus), "--max-len", str(max_len), "--config", config]))
             out.append((f"{name} seed {seed} links", ["links", str(corpus)]))
             if seed == 1:
+                out.append((f"instrument {name} seed {seed}", ["instrument", str(corpus)]))
                 snippets.append((f"{name} seed {seed} witnesses",
                                  [WITNESSES, str(corpus), str(max_len), config]))
                 snippets.append((f"{name} seed {seed} parse", [PARSES, str(corpus)]))
@@ -143,11 +161,15 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in cases(head, Path(tmp)):
             want, got = _run(base, argv), _run(head, argv)
-            parts = [part for part, a, b in zip(("exit status", "stdout", "stderr"), want, got)
+            parts = [(part, a, b) for part, a, b in zip(("exit status", "stdout", "stderr"), want, got)
                      if a != b]
             differ += bool(parts)
-            print(f"{name}: {'differs in ' + ', '.join(parts) if parts else 'identical'}"
+            differs = "differs in " + ", ".join(part for part, _, _ in parts)
+            print(f"{name}: {differs if parts else 'identical'}"
                   f" (exit {got[0]}, {got[1].count(chr(10))} lines)")
+            for part, a, b in parts:
+                for line in _diff(part, str(a), str(b)):
+                    print(line)
     return 1 if differ else 0
 
 

@@ -10,9 +10,10 @@ the caller's ``onActivityResult`` — the caller instance is passed into the
 redirect explicitly, so two components sharing a listener can never be
 confused with each other.
 
-``dummyMain`` encodes each component kind's lifecycle as a nondeterministic
-state machine with a callback loop, so the downstream dataflow analysis sees
-every possible ordering of callbacks without any fixed iteration bound.
+``dummyMain`` walks each component kind's lifecycle in ``ir.LIFECYCLE`` as a
+nondeterministic state machine with a callback loop, so the downstream
+dataflow analysis sees every possible ordering of callbacks without any fixed
+iteration bound.
 
 Statements that are not ICC calls survive with their ids unchanged; ICC call
 sites with several links fan out into a nondeterministic branch over all
@@ -44,6 +45,7 @@ from .ir import (
     FieldStore,
     Goto,
     IccCall,
+    LIFECYCLE,
     Method,
     NewIntent,
     NewObj,
@@ -52,6 +54,7 @@ from .ir import (
     Return,
     Stmt,
     StmtId,
+    Terminator,
 )
 
 INTENT_FIELD = "intent_for_ipc"
@@ -87,22 +90,25 @@ def _call(method: str, args: tuple[str, ...], cls: Optional[str] = None, dst: Op
 # ---------------------------------------------------------------------------
 
 
-def _invoke(method: Method, out: list[Stmt], counter: list[int]) -> None:
-    """Emit a call to a lifecycle/callback method, making up dummy arguments
-    for any parameter beyond the component instance."""
-    args: list[str] = []
-    for param in method.params:
-        if param == "this":
-            args.append("this")
-        else:
-            var = f"dm_u{counter[0]}"
-            counter[0] += 1
-            if method.name == "onActivityResult":
-                out.append(NewIntent(dst=var))
+def _block(label: str, methods: list[Method], term: Terminator, counter: list[int]) -> Block:
+    """A block calling each lifecycle/callback method in order, making up
+    dummy arguments for any parameter beyond the component instance."""
+    block = Block(label, [], term)
+    for method in methods:
+        args: list[str] = []
+        for param in method.params:
+            if param == "this":
+                args.append("this")
             else:
-                out.append(Const(dst=var, value=""))
-            args.append(var)
-    out.append(_call(method.name, tuple(args)))
+                var = f"dm_u{counter[0]}"
+                counter[0] += 1
+                if method.name == "onActivityResult":
+                    block.stmts.append(NewIntent(dst=var))
+                else:
+                    block.stmts.append(Const(dst=var, value=""))
+                args.append(var)
+        block.stmts.append(_call(method.name, tuple(args)))
+    return block
 
 
 def _choose(first: Block, labels: list[str], prefix: str) -> list[Block]:
@@ -123,19 +129,18 @@ def _loop_blocks(options: list[Method], exit_label: str, counter: list[int]) -> 
     do_labels = [f"dm_do{i}" for i in range(len(options))]
     blocks = [head] + _choose(head, [exit_label] + do_labels, "dm_c")
     for label, option in zip(do_labels, options):
-        blocks.append(Block(label, [], Goto("dm_loop")))
-        _invoke(option, blocks[-1].stmts, counter)
+        blocks.append(_block(label, [option], Goto("dm_loop"), counter))
     return blocks
 
 
 def synthesize_dummy_main(component: Component) -> Method:
-    """Build the per-component driver encoding lifecycle plus callback loop.
+    """Build the per-component driver by walking the kind's ``LIFECYCLE``.
 
-    Activities run create/start/resume, then loop over callbacks and
-    onActivityResult, then pause/stop/destroy. Services run create, then
-    either onStartCommand or onBind, then the callback loop, then destroy.
-    Receivers run onReceive then the callback loop. Missing methods are
-    skipped. Providers get no driver at all.
+    ``dm0`` runs the present ``first`` methods and, when only one ``one_of``
+    method is present, that one; when two are, it branches to ``dm_sc`` and
+    ``dm_bd``, one each. The loop over the callbacks and the present
+    ``loop`` methods follows, and ``dm_exit`` runs ``last``. Missing methods
+    are skipped. Providers get no driver at all.
     """
     if component.kind is ComponentKind.PROVIDER:
         raise InstrumentError(
@@ -146,64 +151,28 @@ def synthesize_dummy_main(component: Component) -> Method:
 
     counter = [0]
     life = component.lifecycle
-
-    def present(*names: str) -> list[Method]:
-        return [life[n] for n in names if n in life]
-
-    if component.kind is ComponentKind.ACTIVITY:
-        pre = present("onCreate", "onStart", "onResume")
-        post = present("onPause", "onStop", "onDestroy")
-        options = list(component.callbacks) + present("onActivityResult")
-    elif component.kind is ComponentKind.SERVICE:
-        pre = present("onCreate")
-        post = present("onDestroy")
-        options = list(component.callbacks)
-    else:  # receiver
-        pre = present("onReceive")
-        post = []
-        options = list(component.callbacks)
-
-    entry = Block("dm0")
-    for m in pre:
-        _invoke(m, entry.stmts, counter)
-    blocks = [entry]
-
-    mid: list[Block] = []
-    if component.kind is ComponentKind.SERVICE:
-        started = present("onStartCommand")
-        bound = present("onBind")
-        if started and bound:
-            sc = Block("dm_sc")
-            _invoke(started[0], sc.stmts, counter)
-            bd = Block("dm_bd")
-            _invoke(bound[0], bd.stmts, counter)
-            entry.term = Branch("dm_sc", "dm_bd")
-            mid = [sc, bd]
-        elif started or bound:
-            _invoke((started + bound)[0], entry.stmts, counter)
-
-    exit_block = Block("dm_exit")
-    for m in post:
-        _invoke(m, exit_block.stmts, counter)
-    exit_block.term = Return()
-
-    if options:
-        loop = _loop_blocks(options, "dm_exit", counter)
-        after_entry = "dm_loop"
+    first, one_of, loop, last = (
+        [life[n] for n in names if n in life] for names in LIFECYCLE[component.kind]
+    )
+    options = list(component.callbacks) + loop
+    after = "dm_loop" if options else "dm_exit"
+    if len(one_of) == 2:
+        entry = _block("dm0", first, Branch("dm_sc", "dm_bd"), counter)
+        mid = [
+            _block("dm_sc", one_of[:1], Goto(after), counter),
+            _block("dm_bd", one_of[1:], Goto(after), counter),
+        ]
     else:
-        loop = []
-        after_entry = "dm_exit"
-    if mid:
-        for b in mid:
-            b.term = Goto(after_entry)
-    else:
-        entry.term = Goto(after_entry)
+        entry = _block("dm0", first + one_of, Goto(after), counter)
+        mid = []
+    exit_block = _block("dm_exit", last, Return(), counter)
+    loop_blocks = _loop_blocks(options, "dm_exit", counter) if options else []
 
     method = Method(name="dummyMain", params=("this",), synthetic=True)
-    if not (entry.stmts or mid or loop or exit_block.stmts):
+    if not (entry.stmts or mid or loop_blocks or exit_block.stmts):
         method.blocks = [Block("dm0", [], Return())]
     else:
-        method.blocks = blocks + mid + loop + [exit_block]
+        method.blocks = [entry] + mid + loop_blocks + [exit_block]
     _stamp(method, component.origin_app, component.name)
     return method
 

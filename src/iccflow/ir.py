@@ -34,21 +34,26 @@ class ComponentKind(enum.Enum):
         return self is not ComponentKind.CLASS
 
 
-#: Valid lifecycle slot names per component kind, in driver order.
-LIFECYCLE_SLOTS: dict[ComponentKind, tuple[str, ...]] = {
+#: Each kind's lifecycle as ``(first, one_of, loop, last)``: a driver runs
+#: ``first`` in order, then one method of ``one_of`` (at most two), then a
+#: loop over the callbacks and ``loop``, then ``last``. No driver runs a
+#: provider's slots.
+LIFECYCLE: dict[ComponentKind, tuple[tuple[str, ...], ...]] = {
     ComponentKind.ACTIVITY: (
-        "onCreate",
-        "onStart",
-        "onResume",
-        "onPause",
-        "onStop",
-        "onDestroy",
-        "onActivityResult",
+        ("onCreate", "onStart", "onResume"),
+        (),
+        ("onActivityResult",),
+        ("onPause", "onStop", "onDestroy"),
     ),
-    ComponentKind.SERVICE: ("onCreate", "onStartCommand", "onBind", "onDestroy"),
-    ComponentKind.RECEIVER: ("onReceive",),
-    ComponentKind.PROVIDER: ("onQuery", "onInsert", "onDelete", "onUpdate"),
-    ComponentKind.CLASS: (),
+    ComponentKind.SERVICE: (("onCreate",), ("onStartCommand", "onBind"), (), ("onDestroy",)),
+    ComponentKind.RECEIVER: (("onReceive",), (), (), ()),
+    ComponentKind.PROVIDER: (("onQuery", "onInsert", "onDelete", "onUpdate"), (), (), ()),
+    ComponentKind.CLASS: ((), (), (), ()),
+}
+
+#: Valid lifecycle slot names per component kind, in print order.
+LIFECYCLE_SLOTS: dict[ComponentKind, tuple[str, ...]] = {
+    kind: first + one_of + last + loop for kind, (first, one_of, loop, last) in LIFECYCLE.items()
 }
 
 #: ICC call kinds and the component kind each one targets. Provider kinds are
@@ -550,10 +555,6 @@ def _validate_method(
     diags: list[Diagnostic] = []
     where = f"{comp.name}.{method.name}"
 
-    if not method.blocks:
-        diags.append(error(f"{where}: method has no blocks", path))
-        return diags
-
     labels: set[str] = set()
     for block in method.blocks:
         if block.label in labels:
@@ -594,8 +595,6 @@ def _validate_method(
                         path,
                     )
                 )
-            if isinstance(stmt, IccCall) and stmt.kind not in ICC_KINDS:
-                diags.append(error(f"{loc}: unknown icc kind {stmt.kind!r}", path))
 
         term = block.term
         if isinstance(term, Return) and term.var is not None:

@@ -15,6 +15,7 @@ from iccflow.ir import Branch, Call, ComponentKind, Goto, Return, StmtId
 from iccflow.parser import load_app, parse_app, serialize_app
 
 GOLDEN = Path(__file__).parent / "golden" / "listing1_instrumented.cir"
+DRIVERS_GOLDEN = Path(__file__).parent / "golden" / "drivers_instrumented.cir"
 
 
 def _app(text):
@@ -405,6 +406,55 @@ app "A" {
     assert len(empty.blocks) == 1
     assert empty.blocks[0].stmts == []
     assert isinstance(empty.blocks[0].term, Return)
+
+
+def _component(kind, name, *members):
+    """Component text; each member ``(keyword, name, params)`` is a method
+    or callback whose body is ``finish``."""
+    body = "".join(f"    {kw} {m}({params}) {{\n      finish\n    }}\n" for kw, m, params in members)
+    return f"  component {kind} {name} {{\n{body}  }}\n"
+
+
+# one component per driver shape: every lifecycle slot, extra parameters in
+# each part of the driver (so the dm_u numbering order shows), a one-of pair
+# with and without a loop after it, each single slot, and an empty driver
+DRIVERS = (
+    'app "D" {\n'
+    + _component(
+        "activity", "Full",
+        ("method", "onCreate", "this, state"), ("method", "onStart", "this"),
+        ("method", "onResume", "this"), ("method", "onPause", "this"),
+        ("method", "onStop", "this"), ("method", "onDestroy", "this, reason"),
+        ("method", "onActivityResult", "this, data"),
+        ("callback", "onClick", "this, view"), ("callback", "onLongClick", "this"),
+    )
+    + _component("activity", "ResultOnly", ("method", "onActivityResult", "this, data"))
+    + _component(
+        "service", "Both",
+        ("method", "onCreate", "this"), ("method", "onStartCommand", "this, i, flags"),
+        ("method", "onBind", "this, i"), ("method", "onDestroy", "this, reason"),
+    )
+    + _component(
+        "service", "BothLooping",
+        ("method", "onStartCommand", "this, i"), ("method", "onBind", "this"),
+        ("callback", "onTick", "this, n"),
+    )
+    + _component("service", "Started", ("method", "onStartCommand", "this, i"))
+    + _component("service", "Bound", ("method", "onBind", "this, i"))
+    + _component("service", "Destroyed", ("method", "onDestroy", "this"))
+    + _component("service", "CallbackOnly", ("callback", "onTick", "this"))
+    + _component(
+        "receiver", "Radio",
+        ("method", "onReceive", "this, ctx, i"), ("callback", "onTimeout", "this, t"),
+    )
+    + _component("activity", "Empty")
+    + "}\n"
+)
+
+
+def test_every_driver_shape_matches_its_golden_dump():
+    out = instrument_model(_app(DRIVERS), [])
+    assert serialize_app(out) == DRIVERS_GOLDEN.read_text(encoding="utf-8")
 
 
 def test_dummy_main_refuses_providers_and_classes():

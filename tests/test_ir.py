@@ -4,6 +4,7 @@ import pytest
 
 from iccflow.ir import (
     ICC_KINDS,
+    LIFECYCLE,
     LIFECYCLE_SLOTS,
     PROVIDER_ICC_KINDS,
     RESERVED_CLASSES,
@@ -97,11 +98,21 @@ def test_component_lookup_and_qualified_names():
 def test_kind_tables():
     assert ComponentKind.CLASS.is_component is False
     assert all(k.is_component for k in ComponentKind if k is not ComponentKind.CLASS)
-    assert LIFECYCLE_SLOTS[ComponentKind.ACTIVITY][:3] == (
-        "onCreate",
-        "onStart",
-        "onResume",
-    )
+    # print order: the driver's first, one-of and last slots, then its loop's
+    assert LIFECYCLE_SLOTS == {
+        ComponentKind.ACTIVITY: (
+            "onCreate", "onStart", "onResume", "onPause", "onStop", "onDestroy", "onActivityResult",
+        ),
+        ComponentKind.SERVICE: ("onCreate", "onStartCommand", "onBind", "onDestroy"),
+        ComponentKind.RECEIVER: ("onReceive",),
+        ComponentKind.PROVIDER: ("onQuery", "onInsert", "onDelete", "onUpdate"),
+        ComponentKind.CLASS: (),
+    }
+    assert set(LIFECYCLE) == set(ComponentKind)
+    for kind, (first, one_of, loop, last) in LIFECYCLE.items():
+        names = first + one_of + loop + last
+        assert len(names) == len(set(names)), kind
+        assert len(one_of) <= 2, kind  # the driver branches to dm_sc or dm_bd
     assert ICC_KINDS["send_broadcast"] is ComponentKind.RECEIVER
     assert PROVIDER_ICC_KINDS == {
         "provider_query",
