@@ -11,7 +11,11 @@ without its ``[time]`` lines. The inputs are the benchmark corpora
 seeds 1 and 2, built with the head's ``perfbench/workloads.py``;
 ``corpus/bench`` at ``--max-len`` 2, 3 and 4, as text and as TSV;
 ``corpus/warnings``, whose analysis warns of unknown callees, at
-``--max-len`` 2 and 3; ``bench corpus/bench`` as text and as TSV;
+``--max-len`` 2 and 3; both of these again, at ``--max-len`` 2 and 3, with
+a config that names no source they hold, so no window holds a live source
+and every window whose apps cannot warn is idle (not built), while the
+others must still warn once per window; ``bench corpus/bench`` as text and
+as TSV;
 ``instrument`` on ``corpus/bench``, ``corpus/motivating`` and the three
 seed-1 workload corpora, so every ``dummyMain`` they get is compared; and
 ``links``, the resolved intent links, on every workload corpus and on
@@ -133,6 +137,14 @@ def cases(head: Path, work: Path) -> list[tuple[str, list[str]]]:
     for max_len in (2, 3):
         out.append((f"corpus/warnings max-len {max_len}",
                     ["analyze", warnings, "--max-len", str(max_len), "--config", config]))
+    no_sources = work / "no_sources.conf"
+    no_sources.write_text("source getNothing\n" + "".join(
+        line for line in Path(config).read_text(encoding="utf-8").splitlines(True)
+        if line.startswith("sink ")), encoding="utf-8")
+    for name, corpus in (("warnings", warnings), ("bench", bench)):
+        for max_len in (2, 3):
+            out.append((f"corpus/{name} max-len {max_len} no live source",
+                        ["analyze", corpus, "--max-len", str(max_len), "--config", str(no_sources)]))
     for fmt in ("text", "tsv"):
         out.append((f"bench corpus/bench {fmt}", ["bench", bench, "--format", fmt, "--config", config]))
     out.append(("links corpus/bench", ["links", bench]))

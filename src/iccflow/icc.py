@@ -390,7 +390,9 @@ def match_links(
         for sid in sorted(values_by_app[app_id]):
             value = values_by_app[app_id][sid]
             kind = kinds.get(sid)
-            if kind is None or kind in PROVIDER_ICC_KINDS:
+            if kind is not None and kind not in ICC_KINDS:
+                result.diagnostics.append(warning(f"unknown icc kind {kind!r} at {sid}"))
+            if kind not in ICC_KINDS or kind in PROVIDER_ICC_KINDS:
                 continue
             want = ICC_KINDS[kind]
 

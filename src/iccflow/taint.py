@@ -23,11 +23,13 @@ from typing import Container, Iterable, NamedTuple, Optional
 from .combine import _app_of, build_iac_graph, combine, split_graph
 from .icc import IccLink, links_by_app
 from .instrument import INTENT_FIELD, InstrumentError, instrument_model, link_window
+from .instrument import _already_instrumented, _locate
 from .ir import (
     AppModel,
     Assign,
     Call,
     Component,
+    ComponentKind,
     Diagnostic,
     FieldLoad,
     FieldStore,
@@ -269,6 +271,14 @@ def _call_info_for(
     return CallInfo((comp.origin_app, comp.name, m.name), args, m.params, dst)
 
 
+def _by_name(model: AppModel) -> tuple[dict[str, list[Component]], dict[str, Component]]:
+    """The model's components by name and by qualified name, for ``_resolve_callee``."""
+    by_name: dict[str, list[Component]] = {}
+    for comp in model.components:
+        by_name.setdefault(comp.name, []).append(comp)
+    return by_name, {comp.qualified_name: comp for comp in model.components}
+
+
 def build_cfg(
     model: AppModel, config: Optional[SourceSinkConfig] = None, skip: frozenset[StmtId] = frozenset()
 ) -> Cfg:
@@ -288,12 +298,7 @@ def build_cfg(
     methods under one key (classes ``from`` one origin app), only the last counts.
     """
     cfg = Cfg(model=model)
-    by_name: dict[str, list[Component]] = {}
-    by_qualified: dict[str, Component] = {}
-    for comp in model.components:
-        by_name.setdefault(comp.name, []).append(comp)
-        by_qualified[comp.qualified_name] = comp
-
+    by_name, by_qualified = _by_name(model)
     methods: dict[MethodKey, tuple[Component, Method]] = {}
     for comp in model.components:
         for method in comp.methods():
@@ -858,12 +863,21 @@ class _Reuse:
     loads another field, ``getIntent`` runs only at a ``get_intent``, and a
     non-result redirect is not passed ``this``. So the source finds no pair
     in ``C``, and in its own app what the recording window found.
+
+    An *idle* window, with no live source (configured, not skipped) and
+    only *quiet* apps, is not built: ``propagate`` would seed no root, and
+    ``record`` writes what it writes for no path edge. A quiet app owns its
+    components, is not instrumented yet, links only from its own ICC calls
+    to no provider, and resolves each call alone, so in no window does it
+    fail or warn: there its components only gain methods, share no origin
+    with another app's, and synthetic calls name methods made with them.
     """
 
     def __init__(
         self, apps: list[AppModel], by_app: dict[str, list[IccLink]], windows: list[tuple[str, ...]]
     ):
         self.left = Counter(app for window in windows for app in window)
+        self.shared = {app for app, n in self.left.items() if n > 1}
         self.parts: dict[str, Optional[AppModel]] = {}  # None: it failed
         self.intra: dict[str, list[IccLink]] = {}
         self.cross: dict[tuple[str, str], list[IccLink]] = {}
@@ -879,18 +893,23 @@ class _Reuse:
         # app -> boundary node -> (key, the fact bases that leave there; None: any)
         self.boundary: dict[str, dict[Node, tuple[object, Optional[frozenset[str]]]]] = {}
         self.calls_out: dict[str, list[tuple[StmtId, str]]] = {}
-        self.sources: dict[str, list[StmtId]] = {}
+        self.sources: dict[str, list[tuple[StmtId, str]]] = {}  # (statement, source name)
         self.records: dict[str, dict[StmtId, list[tuple[frozenset, frozenset]]]] = {}
         self.deaf: set[str] = set()
-        if any(n > 1 for n in self.left.values()):
+        self.quiet: set[str] = set()
+        if self.shared:
+            providers = {
+                c.qualified_name for a in apps for c in a.components if c.kind is ComponentKind.PROVIDER
+            }
             for app in apps:
-                self._scan(app)
+                self._scan(app, by_app.get(app.app_id, []), providers)
 
-    def _scan(self, app: AppModel) -> None:
+    def _scan(self, app: AppModel, sent: list[IccLink], providers: set[str]) -> None:
         nodes = self.boundary[app.app_id] = {}
         self.deaf.update(c.qualified_name for c in app.components if _deaf(c))
         calls = self.calls_out[app.app_id] = []
         sources = self.sources[app.app_id] = []
+        resolved, (by_name, by_qualified) = Cfg(model=app), _by_name(app)
         for comp in app.components:
             qname = comp.qualified_name
             nodes[("exit", (app.app_id, comp.name, "dummyMain"))] = (qname, None)
@@ -899,7 +918,7 @@ class _Reuse:
                     for stmt in block.stmts:
                         node = ("stmt", stmt.sid)
                         if isinstance(stmt, SourceCall):
-                            sources.append(stmt.sid)
+                            sources.append((stmt.sid, stmt.source))
                         elif isinstance(stmt, IccCall):
                             far = stmt.kind == "start_activity_for_result"
                             bases = (stmt.intent, "this") if far else (stmt.intent,)
@@ -911,6 +930,20 @@ class _Reuse:
                             if callee_app != app.app_id:
                                 nodes[node] = (stmt.sid, frozenset(stmt.args))
                                 calls.append((stmt.sid, callee_app))
+                        if isinstance(stmt, Call):
+                            _resolve_callee(resolved, comp, stmt, by_name, by_qualified)
+        sites = [_locate(app, sid) for sid in {link.from_stmt for link in sent}]
+        if not (calls or resolved.diagnostics or _already_instrumented(app)) and all(
+            [c.origin_app == app.app_id for c in app.components]
+            + [link.to not in providers for link in sent]
+            + [site is not None and isinstance(site[2].stmts[site[3]], IccCall) for site in sites]
+        ):
+            self.quiet.add(app.app_id)
+
+    def idle(self, window: _Window, sources: frozenset[str]) -> bool:
+        """Whether the window holds only quiet apps and no live source."""
+        live = (sid for app in window.apps for sid, name in self.sources[app] if name in sources)
+        return self.quiet.issuperset(window.apps) and all(sid in window.skip for sid in live)
 
     def window(self, app_ids: tuple[str, ...]) -> _Window:
         """The window's entries, its boundary keys linked to another app, the
@@ -949,7 +982,7 @@ class _Reuse:
         """The window's instrumented model: its apps' parts with the links
         between them on top, or, when none of its apps lies in another
         window, the window instrumented whole."""
-        shared = any(a in self.parts or self.left[a] for a in window.apps)
+        shared = not self.shared.isdisjoint(window.apps)
         parts = [self._part(a, by_id) for a in window.apps] if shared else []
         if not shared or None in parts:  # whole; a failed part fails here too
             models = [by_id[a] for a in window.apps]
@@ -975,6 +1008,8 @@ class _Reuse:
         (node, fact) of each path edge ``propagate`` left in ``preds``.
         ``sites`` maps each redirect call to the ICC site it replaced."""
         keep = {a for a in window.apps if self.left[a] > 0}
+        for app in set(window.apps) - keep:
+            self.parts.pop(app, None)  # its last window; an idle one builds none
         if not keep:
             return
         nodes: dict[Node, tuple] = {}
@@ -984,7 +1019,7 @@ class _Reuse:
             if call != site and site.app in keep:
                 nodes[("stmt", call)] = self.boundary[site.app][("stmt", site)]
         reached: dict[StmtId, set] = {
-            s: set() for app in keep for s in self.sources[app] if s not in window.skip
+            s: set() for app in keep for s, _ in self.sources[app] if s not in window.skip
         }
         for _, _, n, d in preds:
             if n in nodes and d.origin in reached:
@@ -1011,14 +1046,16 @@ def _analyze_set(
     if reuse is None:  # a window on its own
         reuse = _Reuse([by_id[a] for a in app_ids], by_app, [app_ids])
     window = reuse.window(app_ids)
+    if reuse.idle(window, config.sources):
+        reuse.record(window, {}, {})
+        return [], [], time.perf_counter() - started
     try:
         inst = reuse.instrument(window, by_id)
     except InstrumentError as exc:
         return [], [Diagnostic("error", str(exc))], time.perf_counter() - started
     cfg = build_cfg(inst, config, window.skip)
     res = propagate(cfg, config, window.skip)
-    sites = {call.sid: link.from_stmt for link, call in inst.redirects.items()}
-    reuse.record(window, res.preds, sites)
+    reuse.record(window, res.preds, {call.sid: link.from_stmt for link, call in inst.redirects.items()})
     paths = extract_paths(res, cfg)
     return paths, list(cfg.diagnostics), time.perf_counter() - started
 
@@ -1047,7 +1084,8 @@ def analyze(
     for a result, into a *deaf* component, one that never reads the intent
     it receives. Skipping a source leaves every other source's tabulation,
     and so its witness paths, as it was (see ``propagate``), and each pair
-    the skipped source would find here, the recording window reported.
+    the skipped source would find here, the recording window reported. An
+    *idle* window (no live source, no app that can warn or fail) is skipped.
     """
     report = AnalysisReport()
     graph = build_iac_graph([a.app_id for a in apps], links)

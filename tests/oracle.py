@@ -205,10 +205,12 @@ _LOOP_TICKS = 2
 
 
 class _Run:
-    def __init__(self, world: _World, chooser: Chooser, max_steps: int):
+    def __init__(self, world: _World, chooser: Chooser, max_steps: int, max_hops: Optional[int] = None):
         self.w = world
         self.ch = chooser
         self.max_steps = max_steps
+        self.max_hops = max_hops
+        self.hops = 0  # dispatches on the current chain
         self.steps = 0
         self.depth = 0
         self.pairs: set[tuple[StmtId, StmtId]] = set()
@@ -428,12 +430,14 @@ class _Run:
                 for c in self.w.components
                 if c.kind is want and any(_accepts(v, f) for f in c.filters)
             ]
-        if not matches:
+        if not matches or self.hops == self.max_hops:
             return
         choice = self.ch.pick(len(matches)) if len(matches) > 1 else 0
         target = matches[choice]
         inst = OInstance(cls=target.qualified_name, comp=target, received=v)
+        self.hops += 1
         self.lifecycle(target, inst)
+        self.hops -= 1
         if stmt.kind == "start_activity_for_result":
             owner = self.w.by_qualified.get(f"{stmt.sid.app}/{stmt.sid.cls}")
             oar = owner.lifecycle.get("onActivityResult") if owner else None
@@ -453,15 +457,22 @@ def oracle_pairs(
     *,
     max_runs: int = 150000,
     max_steps: int = 200000,
+    max_hops: Optional[int] = None,
 ) -> set[tuple[StmtId, StmtId]]:
-    """All (source stmt, sink stmt) pairs any concrete execution can realize."""
+    """All (source stmt, sink stmt) pairs any concrete execution can realize.
+
+    With ``max_hops``, a chain of dispatches from a root stops after that
+    many: an ICC call past it starts nothing. That bounds cyclic dispatch,
+    which the interpreter cannot unroll, and keeps only the pairs such
+    chains realize.
+    """
     world = _World(apps, config)
     pairs: set[tuple[StmtId, StmtId]] = set()
 
     for root in world.roots():
 
         def drive(ch: Chooser, _root: Component = root) -> None:
-            run = _Run(world, ch, max_steps)
+            run = _Run(world, ch, max_steps, max_hops)
             run.lifecycle(_root, OInstance(cls=_root.qualified_name, comp=_root))
             pairs.update(run.pairs)
 

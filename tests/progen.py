@@ -443,6 +443,34 @@ def gen_apps(seed: int) -> list[AppModel]:
     return apps
 
 
+_LINK_DENSE_APP = """app "APP" {
+  component activity Main {
+    filter { action "go"; }
+    method onCreate(this) {
+      x = source "getDeviceId"
+      i = new_intent
+      set_action i "go"
+      put_extra i "k" x
+      icc start_activity i
+      g = get_intent
+      y = get_extra g "k"
+      sink "writeLog" y
+    }
+  }
+}
+"""
+
+
+def gen_link_dense(n: int) -> list[str]:
+    """The link-dense shape: ``n`` apps of one activity each. Every activity
+    accepts the implicit action ``go``, sends its source on a ``go`` intent,
+    and sinks the extra of the intent it was started with. So each app's
+    source reaches each app's sink, its own too, over one link, and each
+    set of ``max_len`` apps is a window. Dispatch is cyclic, so the oracle
+    needs ``oracle_pairs``'s ``max_hops``."""
+    return [_LINK_DENSE_APP.replace("APP", f"L{k:02d}") for k in range(n)]
+
+
 # Tokens a line mutation may insert: every statement keyword, punctuation, a
 # literal, plain names, characters the lexer rejects, and a bad escape and an
 # open quote for the string-literal diagnostics.

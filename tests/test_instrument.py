@@ -11,7 +11,7 @@ from iccflow.instrument import (
     instrument_model,
     synthesize_dummy_main,
 )
-from iccflow.ir import Branch, Call, ComponentKind, Goto, Return, StmtId
+from iccflow.ir import Branch, Call, ComponentKind, Goto, IccCall, Return, StmtId
 from iccflow.parser import load_app, parse_app, serialize_app
 
 GOLDEN = Path(__file__).parent / "golden" / "listing1_instrumented.cir"
@@ -65,6 +65,19 @@ def test_single_link_is_replaced_in_place():
     # the replacement statement keeps the site's id; the tail is untouched
     assert redirect.sid == StmtId("A", "Main", "onCreate", "b0", 4)
     assert block.stmts[5].sid.index == 5
+
+
+def test_an_unknown_icc_kind_is_a_warning_and_its_site_is_skipped():
+    # a parsed model cannot hold such a kind; a hand-edited one can
+    app = _app(SINGLE)
+    for _, _, _, stmt in app.iter_stmts():
+        if isinstance(stmt, IccCall):
+            stmt.kind = "bogus"
+    result = match_links(resolve_corpus([app]), [app])
+    assert result.links == []
+    assert [(d.severity, d.message) for d in result.diagnostics] == [
+        ("warning", "unknown icc kind 'bogus' at A/Main/onCreate/b0/4")
+    ]
 
 
 def test_target_gains_receiving_helpers():

@@ -146,35 +146,39 @@ def test_a_suppressed_source_generates_nothing():
 def _check_against_full_merge(monkeypatch, apps, max_len):
     """``analyze`` reports what running every window in full, in order, first
     window wins, reports; every pair a skipped source finds in full was
-    reported by an earlier window. Returns each window's skipped sources."""
+    reported by an earlier window, and a window ``analyze`` found idle finds
+    no diagnostic in full. Returns each window's skipped sources."""
     links = match_links(resolve_corpus(apps), apps).links
-    windows, skips = [], []
-    real_set, real_propagate = taint._analyze_set, taint.propagate
+    windows, skips, idle = [], [], []
+    real_window, real_idle = taint._Reuse.window, taint._Reuse.idle
 
-    def analyze_set(app_ids, *args):
+    def window(reuse, app_ids):
+        out = real_window(reuse, app_ids)
         windows.append(app_ids)
-        skips.append(frozenset())
-        return real_set(app_ids, *args)
+        skips.append(out.skip)
+        idle.append(False)
+        return out
 
-    def propagate_(cfg, config, skip=frozenset()):
-        skips[-1] = skip
-        return real_propagate(cfg, config, skip)
+    def idle_(reuse, window, sources):
+        idle[-1] = real_idle(reuse, window, sources)
+        return idle[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(taint, "_analyze_set", analyze_set)
-        m.setattr(taint, "propagate", propagate_)
+        m.setattr(taint._Reuse, "window", window)
+        m.setattr(taint._Reuse, "idle", idle_)
         got = analyze(apps, links, CONFIG, max_len)
 
     assert windows == got.sets
     by_id = {a.app_id: a for a in apps}
     by_app = links_by_app(links)
     want = AnalysisReport()
-    for window, skip in zip(windows, skips):
+    for window, skip, was_idle in zip(windows, skips, idle):
         paths, diags, _ = _analyze_set(window, by_id, by_app, CONFIG)
         reported = {(p.source, p.sink) for p in want.paths}
         for p in paths:
             if p.source in skip:
                 assert (p.source, p.sink) in reported, f"{window}: {p.source} -> {p.sink}"
+        assert not (was_idle and diags), window
         want.diagnostics.extend(diags)
         want.paths.extend(p for p in paths if (p.source, p.sink) not in reported)
     want.paths.sort(key=lambda p: (p.source, p.sink))

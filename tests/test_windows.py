@@ -24,20 +24,28 @@ from test_reuse import CONFIG, _bench, _mix, whole_window
 
 
 def _windows(apps, max_len):
-    """Each window ``analyze`` runs, with the CFG of its model laid out in
-    full, and the number of windows built from parts. ``analyze`` itself
+    """Each window ``analyze`` runs, with its skipped sources and the CFG of
+    its model laid out in full (None for an idle window, which builds no
+    model), and the number of windows built from parts. ``analyze`` itself
     gets the CFG scoped to the window's live sources."""
     links = match_links(resolve_corpus(apps), apps).links
     out = []
     overlays = []
-    real_set, real_cfg, real_link = taint._analyze_set, taint.build_cfg, taint.link_window
+    real_window, real_idle = taint._Reuse.window, taint._Reuse.idle
+    real_cfg, real_link = taint.build_cfg, taint.link_window
 
-    def analyze_set(app_ids, *args):
-        out.append([app_ids])
-        return real_set(app_ids, *args)
+    def window(reuse, app_ids):
+        got = real_window(reuse, app_ids)
+        out.append([app_ids, got.skip, None])
+        return got
+
+    def idle(reuse, *args):
+        was_idle = real_idle(reuse, *args)
+        out[-1].append(was_idle)
+        return was_idle
 
     def cfg_of(model, *args):
-        out[-1].append(real_cfg(model))
+        out[-1][2] = real_cfg(model)
         return real_cfg(model, *args)
 
     def link_window_(*args):
@@ -45,11 +53,14 @@ def _windows(apps, max_len):
         return real_link(*args)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(taint, "_analyze_set", analyze_set)
+        m.setattr(taint._Reuse, "window", window)
+        m.setattr(taint._Reuse, "idle", idle)
         m.setattr(taint, "build_cfg", cfg_of)
         m.setattr(taint, "link_window", link_window_)
         analyze(apps, links, CONFIG, max_len)
-    return [(app_ids, cfg) for app_ids, cfg in out], links_by_app(links), len(overlays)
+    # a window is built exactly when it is not idle
+    assert all((cfg is None) == was_idle for _, _, cfg, was_idle in out)
+    return [(app_ids, skip, cfg) for app_ids, skip, cfg, _ in out], links_by_app(links), len(overlays)
 
 
 def _shape(cfg):
@@ -67,9 +78,14 @@ def _shape(cfg):
 def _assert_windows_match(apps, max_len):
     windows, by_app, overlays = _windows(apps, max_len)
     by_id = {a.app_id: a for a in apps}
-    for app_ids, cfg in windows:
-        want = build_cfg(whole_window([by_id[a] for a in app_ids], by_app))
-        assert _shape(cfg) == _shape(want), app_ids
+    for app_ids, skip, cfg in windows:
+        whole = whole_window([by_id[a] for a in app_ids], by_app)
+        want = build_cfg(whole)
+        if cfg is not None:
+            assert _shape(cfg) == _shape(want), app_ids
+        else:  # idle: whole instrumentation warns of nothing and finds nothing
+            assert not want.diagnostics, app_ids
+            assert not propagate(build_cfg(whole, CONFIG, skip), CONFIG, skip).preds, app_ids
     return windows, overlays
 
 
@@ -83,7 +99,7 @@ def _corpus(name):
 )
 def test_every_window_matches_whole_window_instrumentation(corpus, max_len):
     windows, overlays = _assert_windows_match(_corpus(corpus), max_len)
-    assert sum(len(app_ids) > 1 for app_ids, _ in windows) > 5
+    assert sum(len(app_ids) > 1 for app_ids, _, _ in windows) > 5
     assert overlays > (5 if corpus == "mix" else 0)
 
 
