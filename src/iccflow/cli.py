@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Optional
 
-from .combine import build_iac_graph, split_graph
+from .combine import build_iac_graph, holders, split_graph
 from .icc import links_by_app, match_links, resolve_corpus
 from .instrument import InstrumentError, instrument_model
 from .ir import AppModel, Diagnostic
@@ -70,7 +70,7 @@ def _cmd_instrument(args) -> int:
     result = match_links(resolve_corpus(apps), apps)
     _print_diags(result.diagnostics)
     status = 1 if result.diagnostics else 0
-    by_app = links_by_app(result.links)
+    by_app = links_by_app(result.links, holders(apps))
     outputs = [
         instrument_model(app, by_app.get(app.app_id, []))
         for app in sorted(apps, key=lambda a: a.app_id)
@@ -90,7 +90,7 @@ def _cmd_combine(args) -> int:
     apps = _load_models(args.paths)
     result = match_links(resolve_corpus(apps), apps)
     _print_diags(result.diagnostics)
-    graph = build_iac_graph([a.app_id for a in apps], result.links)
+    graph = build_iac_graph([a.app_id for a in apps], result.links, holders(apps))
     for group in split_graph(graph, args.max_len):
         print("+".join(sorted(group)))
     return 1 if result.diagnostics else 0

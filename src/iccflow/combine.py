@@ -1,15 +1,17 @@
 """Merging apps into one analyzable model and scoping work via an IAC graph.
 
-Cross-app links only matter when both endpoints are analyzed together, so the
-corpus is first reduced to a graph whose nodes are apps and whose edges are
-induced by cross-app links. Each connected piece is an analysis unit; a piece
-larger than ``max_len`` apps is covered by the maximal app sets of at most
-``max_len`` apps that one directed walk covers (DidFail composes flows along
-the same directed intent graph). A walk goes from a link's call-site app to
-its target app, and back for ``start_activity_for_result``, whose result
-returns to the caller; these are the ways an intent carries a leak chain
-between apps, so every such chain through at most ``max_len`` apps lies
-inside an emitted set.
+Links between apps only matter when both endpoints are analyzed together, so
+the corpus is first reduced to a graph whose nodes are apps and whose edges
+are induced by those links, each joining the apps that hold its ends
+(``holders``): a ``.cir`` class may be declared ``from`` another origin app.
+Each connected piece is an analysis unit; a piece larger than ``max_len`` apps
+is covered by the maximal app sets of at most ``max_len`` apps that one
+directed walk covers (DidFail composes flows along the same directed intent
+graph). A walk goes from a link's call-site app to its target app, and back
+for ``start_activity_for_result``, whose result returns to the caller; these
+are the ways an intent carries a leak chain between apps, so every such chain
+through at most ``max_len`` apps lies inside an emitted set. A plain call
+between two apps makes no edge.
 """
 
 from __future__ import annotations
@@ -44,30 +46,29 @@ def combine(apps: list[AppModel]) -> AppModel:
     return merged
 
 
-def _app_of(qualified_name: str) -> str:
-    return qualified_name.rsplit("/", 1)[0]
+def holders(apps: list[AppModel]) -> dict[str, str]:
+    """Each qualified class name -> the id of the one app that declares it (see ``load_corpus``)."""
+    return {c.qualified_name: app.app_id for app in apps for c in app.components}
 
 
 @dataclass
 class IacGraph:
-    """App graph; an edge means at least one cross-app link, each directed."""
+    """App graph; an edge means at least one link between two apps."""
 
     nodes: list[str] = field(default_factory=list)
-    # key is the sorted app pair
+    # key is the (call-site holder, target holder) pair; links sorted
     edges: dict[tuple[str, str], list[IccLink]] = field(default_factory=dict)
 
 
-def build_iac_graph(apps: list[str], links: list[IccLink]) -> IacGraph:
+def build_iac_graph(apps: list[str], links: list[IccLink], held: dict[str, str]) -> IacGraph:
+    """Join the two apps that hold a link's call site and its target; a link
+    one app holds both ends of, or no app in ``apps`` holds an end of, joins none."""
     graph = IacGraph(nodes=sorted(apps))
     known = set(graph.nodes)
     for link in sorted(links):
-        if not link.cross_app:
-            continue
-        a, b = link.from_stmt.app, _app_of(link.to)
-        if a == b or a not in known or b not in known:
-            continue
-        key = (a, b) if a < b else (b, a)
-        graph.edges.setdefault(key, []).append(link)
+        a, b = held.get(link.from_stmt.qualified_cls), held.get(link.to)
+        if a != b and a in known and b in known:
+            graph.edges.setdefault((a, b), []).append(link)
     return graph
 
 
@@ -129,11 +130,9 @@ def split_graph(graph: IacGraph, max_len: int = 2) -> list[frozenset[str]]:
     for (a, b), links in graph.edges.items():
         adj[a].add(b)
         adj[b].add(a)
-        for link in links:
-            caller, target = link.from_stmt.app, _app_of(link.to)
-            succ[caller].add(target)
-            if link.kind == "start_activity_for_result":
-                succ[target].add(caller)
+        succ[a].add(b)
+        if any(link.kind == "start_activity_for_result" for link in links):
+            succ[b].add(a)
     out: list[frozenset[str]] = []
     for group in _components_of(graph.nodes, adj):
         if len(group) <= max_len:

@@ -123,14 +123,16 @@ class IccLink:
     kind: str
     to: str  # qualified component name "app/Component"
     exact: bool
-    cross_app: bool
+    cross_app: bool  # the two ends' origin apps differ
 
 
-def links_by_app(links: list[IccLink]) -> dict[str, list[IccLink]]:
-    """The links grouped by the app of their call site, each in input order."""
+def links_by_app(links: list[IccLink], held: dict[str, str]) -> dict[str, list[IccLink]]:
+    """The links by the app holding their call site (``combine.holders``), in input order."""
     by_app: dict[str, list[IccLink]] = {}
     for link in links:
-        by_app.setdefault(link.from_stmt.app, []).append(link)
+        app = held.get(link.from_stmt.qualified_cls)
+        if app is not None:
+            by_app.setdefault(app, []).append(link)
     return by_app
 
 

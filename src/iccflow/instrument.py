@@ -301,13 +301,12 @@ def _own(
 
 
 def _group(model: AppModel, links: list[IccLink]) -> dict[StmtId, list[IccLink]]:
-    """The links with both ends in the model, by call site."""
-    local_apps = {c.origin_app for c in model.components}
+    """The links whose site's class and target are both in the model, by call site."""
     kinds = {c.qualified_name: c.kind for c in model.components}
     groups: dict[StmtId, list[IccLink]] = {}
     for link in links:
         kind = kinds.get(link.to)
-        if kind is None or link.from_stmt.app not in local_apps:
+        if kind is None or link.from_stmt.qualified_cls not in kinds:
             continue  # an end outside the model: a window left its app out
         if kind is ComponentKind.PROVIDER:
             raise InstrumentError(f"link into provider component {link.to!r} rejected")
@@ -396,11 +395,11 @@ def instrument_model(model: AppModel, links: list[IccLink]) -> AppModel:
     return out
 
 
-def link_window(model: AppModel, apps: dict[str, AppModel], links: list[IccLink]) -> AppModel:
+def link_window(model: AppModel, apps: list[AppModel], links: list[IccLink]) -> AppModel:
     """Add cross-app links to ``model``, a ``combine`` of apps each of which
     ``instrument_model`` instrumented with its intra-app links.
 
-    ``apps`` maps app ids to the input models. The output copies on write.
+    ``apps`` are those apps' input models. The output copies on write.
     Each method holding a cross-linked site is instrumented again from its
     input method with all its links; an intra-app link keeps its call to its
     app's ``IpcSC``, and the cross-app redirects go on the window's, named
@@ -410,12 +409,13 @@ def link_window(model: AppModel, apps: dict[str, AppModel], links: list[IccLink]
     groups = _group(model, links)
     touched = {sid.method_key for sid in groups}
     # the cross-app targets and the callers
-    copied = {link.to for ls in groups.values() for link in ls} | {f"{a}/{c}" for a, c, _ in touched}
+    copied = {link.to for ls in groups.values() for link in ls} | {sid.qualified_cls for sid in groups}
     for link in model.redirects:
         if link.from_stmt.method_key in touched:
             groups.setdefault(link.from_stmt, []).append(link)
+    base = {c.qualified_name: c for app in apps for c in app.components if c.qualified_name in copied}
     components = [
-        _own(c, touched, apps[c.origin_app].component(c.name)) if c.qualified_name in copied else c
+        _own(c, touched, base[c.qualified_name]) if c.qualified_name in copied else c
         for c in model.components
     ]
     out = replace(model, components=components, redirects=dict(model.redirects))

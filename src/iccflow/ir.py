@@ -98,6 +98,10 @@ class StmtId(NamedTuple):
     def method_key(self) -> tuple[str, str, str]:
         return (self.app, self.cls, self.method)
 
+    @property
+    def qualified_cls(self) -> str:
+        return f"{self.app}/{self.cls}"
+
 
 @dataclass(frozen=True)
 class Operand:

@@ -20,7 +20,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Container, Iterable, NamedTuple, Optional
 
-from .combine import _app_of, build_iac_graph, combine, split_graph
+from .combine import build_iac_graph, combine, holders, split_graph
 from .icc import IccLink, links_by_app
 from .instrument import INTENT_FIELD, InstrumentError, instrument_model, link_window
 from .instrument import _already_instrumented, _locate
@@ -815,10 +815,9 @@ def _deaf(comp: Component) -> bool:
 class _Reuse:
     """What a window need not redo: instrumentation, and source statements.
 
-    An app that lies in several windows is instrumented once with its
-    intra-app links, kept until its last window, and each window adds the
-    links between its apps' parts from an index by (call-site app, target
-    app).
+    An app that lies in several windows is instrumented once with the links
+    it holds both ends of, kept until its last window; each window adds the
+    links between its apps' parts, ``IacGraph.edges`` by holder pair.
 
     Each window records the source statements it did not skip, of each of
     its apps that lies in a later window too. A record holds the source
@@ -833,7 +832,7 @@ class _Reuse:
     * a component, reached by a fact on the intent or on ``this`` at one of
       its ``set_result`` statements, or by any fact at its driver's exit,
       where another app reads the result;
-    * a call naming another app's class, reached by a fact on an argument.
+    * a call naming a class another app holds, reached by a fact on an argument.
 
     A window records a source only if it linked none of its keys to another
     app, so the source's taint stayed in its app. A source the window never
@@ -874,22 +873,15 @@ class _Reuse:
     """
 
     def __init__(
-        self, apps: list[AppModel], by_app: dict[str, list[IccLink]], windows: list[tuple[str, ...]]
+        self, apps: list[AppModel], by_app: dict[str, list[IccLink]], windows: list[tuple[str, ...]],
+        held: dict[str, str], cross: dict[tuple[str, str], list[IccLink]],
     ):
         self.left = Counter(app for window in windows for app in window)
         self.shared = {app for app, n in self.left.items() if n > 1}
         self.parts: dict[str, Optional[AppModel]] = {}  # None: it failed
-        self.intra: dict[str, list[IccLink]] = {}
-        self.cross: dict[tuple[str, str], list[IccLink]] = {}
-        # the app each origin app lies in (an app given combined holds several)
-        owner = {c.origin_app: app.app_id for app in apps for c in app.components}
-        for origin, app_links in by_app.items():
-            for link in app_links if origin in owner else ():
-                app, target = owner[origin], _app_of(link.to)
-                if owner.get(target) == app:
-                    self.intra.setdefault(app, []).append(link)
-                else:
-                    self.cross.setdefault((app, target), []).append(link)
+        self.held = held  # ``combine.holders``
+        self.cross = cross  # ``IacGraph.edges``: by (call-site app, target app)
+        self.intra = {a.app_id: [x for x in by_app.get(a.app_id, ()) if held.get(x.to) == a.app_id] for a in apps}
         # app -> boundary node -> (key, the fact bases that leave there; None: any)
         self.boundary: dict[str, dict[Node, tuple[object, Optional[frozenset[str]]]]] = {}
         self.calls_out: dict[str, list[tuple[StmtId, str]]] = {}
@@ -912,7 +904,7 @@ class _Reuse:
         resolved, (by_name, by_qualified) = Cfg(model=app), _by_name(app)
         for comp in app.components:
             qname = comp.qualified_name
-            nodes[("exit", (app.app_id, comp.name, "dummyMain"))] = (qname, None)
+            nodes[("exit", (comp.origin_app, comp.name, "dummyMain"))] = (qname, None)
             for method in comp.methods():
                 for block in method.blocks:
                     for stmt in block.stmts:
@@ -925,11 +917,9 @@ class _Reuse:
                             nodes[node] = (stmt.sid, frozenset(bases))
                         elif isinstance(stmt, SetResult):
                             nodes[node] = (qname, frozenset((stmt.intent, "this")))
-                        elif isinstance(stmt, Call) and stmt.cls and "/" in stmt.cls:
-                            callee_app = _app_of(stmt.cls)
-                            if callee_app != app.app_id:
-                                nodes[node] = (stmt.sid, frozenset(stmt.args))
-                                calls.append((stmt.sid, callee_app))
+                        elif isinstance(stmt, Call) and self.held.get(stmt.cls, app.app_id) != app.app_id:
+                            nodes[node] = (stmt.sid, frozenset(stmt.args))
+                            calls.append((stmt.sid, self.held[stmt.cls]))
                         if isinstance(stmt, Call):
                             _resolve_callee(resolved, comp, stmt, by_name, by_qualified)
         sites = [_locate(app, sid) for sid in {link.from_stmt for link in sent}]
@@ -991,7 +981,7 @@ class _Reuse:
             return instrument_model(merged, sorted(links + window.links))
         if len(parts) == 1:
             return parts[0]
-        return link_window(combine(parts), by_id, window.links)
+        return link_window(combine(parts), [by_id[a] for a in window.apps], window.links)
 
     def _part(self, app: str, by_id: dict[str, AppModel]) -> Optional[AppModel]:
         """The app instrumented with its intra-app links (None if that
@@ -1016,21 +1006,21 @@ class _Reuse:
         for app in keep:
             nodes.update(self.boundary[app])
         for call, site in sites.items():
-            if call != site and site.app in keep:
-                nodes[("stmt", call)] = self.boundary[site.app][("stmt", site)]
-        reached: dict[StmtId, set] = {
-            s: set() for app in keep for s, _ in self.sources[app] if s not in window.skip
+            if call != site and ("stmt", site) in nodes:
+                nodes[("stmt", call)] = nodes[("stmt", site)]
+        reached: dict[StmtId, tuple[str, set]] = {
+            s: (app, set()) for app in keep for s, _ in self.sources[app] if s not in window.skip
         }
         for _, _, n, d in preds:
             if n in nodes and d.origin in reached:
                 key, bases = nodes[n]
                 if bases is None or d.base in bases:
-                    reached[d.origin].add(key)
-        for source, keys in reached.items():
+                    reached[d.origin][1].add(key)
+        for source, (app, keys) in reached.items():
             if not keys.isdisjoint(window.out):
                 continue
-            rec = (window.entries[source.app], frozenset(keys))
-            records = self.records.setdefault(source.app, {}).setdefault(source, [])
+            rec = (window.entries[app], frozenset(keys))
+            records = self.records.setdefault(app, {}).setdefault(source, [])
             if rec not in records:
                 records.append(rec)
 
@@ -1044,7 +1034,10 @@ def _analyze_set(
 ) -> tuple[list[TaintedPath], list[Diagnostic], float]:
     started = time.perf_counter()
     if reuse is None:  # a window on its own
-        reuse = _Reuse([by_id[a] for a in app_ids], by_app, [app_ids])
+        apps = [by_id[a] for a in app_ids]
+        held = holders(apps)
+        edges = build_iac_graph(list(app_ids), [x for a in app_ids for x in by_app.get(a, ())], held).edges
+        reuse = _Reuse(apps, by_app, [app_ids], held, edges)
     window = reuse.window(app_ids)
     if reuse.idle(window, config.sources):
         reuse.record(window, {}, {})
@@ -1088,11 +1081,12 @@ def analyze(
     *idle* window (no live source, no app that can warn or fail) is skipped.
     """
     report = AnalysisReport()
-    graph = build_iac_graph([a.app_id for a in apps], links)
+    held = holders(apps)
+    graph = build_iac_graph([a.app_id for a in apps], links, held)
     report.sets = [tuple(sorted(s)) for s in split_graph(graph, max_len)]
     by_id = {a.app_id: a for a in apps}
-    by_app = links_by_app(links)
-    reuse = _Reuse(apps, by_app, report.sets)
+    by_app = links_by_app(links, held)
+    reuse = _Reuse(apps, by_app, report.sets, held, graph.edges)
     seen: set[tuple[StmtId, StmtId]] = set()
     merged_paths: list[TaintedPath] = []
     for group in report.sets:

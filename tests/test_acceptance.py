@@ -243,7 +243,7 @@ def test_criterion_6_combiner_equivalence(bench_root, default_config):
                 if rng.random() < rng.choice((0.15, 0.4)):
                     src, dst = (a, b) if rng.random() < 0.5 else (b, a)
                     kind = rng.choice(("start_activity", "start_activity_for_result"))
-                    g.edges.setdefault((a, b), []).append(
+                    g.edges.setdefault((src, dst), []).append(
                         IccLink(StmtId(src, "M", "m", "b0", 0), kind, f"{dst}/T", True, True)
                     )
         max_len = rng.randint(1, 4)

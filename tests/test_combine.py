@@ -13,6 +13,7 @@ from iccflow.combine import (
     _components_of,
     build_iac_graph,
     combine,
+    holders,
     split_graph,
 )
 from iccflow.icc import IccLink, links_by_app, match_links, resolve_corpus
@@ -81,12 +82,18 @@ def test_graph_keeps_only_cross_app_edges():
         _link("A", "C", 3),
         _link("A", "Ghost", 4),  # unknown endpoint: ignored
     ]
-    g = build_iac_graph(["A", "B", "C"], links)
+    held = {f"{app}/{cls}": app for app in "ABC" for cls in ("Main", "Target")}
+    g = build_iac_graph(["A", "B", "C"], links, held)
     assert g.nodes == ["A", "B", "C"]
-    assert sorted(g.edges) == [("A", "B"), ("A", "C")]
-    assert len(g.edges[("A", "B")]) == 2  # both directions annotate one edge
+    assert sorted(g.edges) == [("A", "B"), ("A", "C"), ("B", "A")]
+    assert g.edges[("A", "B")] == [links[1]] and g.edges[("B", "A")] == [links[2]]  # one edge per direction
     assert sorted(b for a, b in g.edges if a == "A") == ["B", "C"]
     assert [a for a, b in g.edges if b == "C"] == ["A"]
+    # an edge joins the apps that hold the ends, not the ends' origin apps
+    one_holder = {"A/Main": "AB", "B/Target": "AB"}
+    assert build_iac_graph(["AB"], [_link("A", "B")], one_holder).edges == {}
+    two_holders = {"A/Main": "A", "A/Target": "B"}
+    assert build_iac_graph(["A", "B"], [_link("A", "A")], two_holders).edges == {("A", "B"): [_link("A", "A")]}
 
 
 def _graph(nodes, pairs, for_result=()):
@@ -94,9 +101,8 @@ def _graph(nodes, pairs, for_result=()):
     ``start_activity_for_result`` links."""
     g = IacGraph(nodes=sorted(nodes))
     for a, b in pairs:
-        key = (a, b) if a < b else (b, a)
         kind = "start_activity_for_result" if (a, b) in for_result else "start_activity"
-        g.edges.setdefault(key, []).append(_link(a, b, kind=kind))
+        g.edges.setdefault((a, b), []).append(_link(a, b, kind=kind))
     return g
 
 
@@ -299,9 +305,9 @@ def _same_report_as_reference(apps, config, max_len):
     in order, first window wins, reports; returns both plans' sizes."""
     links = match_links(resolve_corpus(apps), apps).links
     got = analyze(apps, links, config, max_len)
-    windows = _reference_plan(build_iac_graph([a.app_id for a in apps], links), max_len)
+    windows = _reference_plan(build_iac_graph([a.app_id for a in apps], links, holders(apps)), max_len)
     by_id = {a.app_id: a for a in apps}
-    by_app = links_by_app(links)
+    by_app = links_by_app(links, holders(apps))
     want = AnalysisReport()
     seen = set()
     for window in windows:

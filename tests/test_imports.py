@@ -1,11 +1,16 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and only
+``combine`` splits a qualified name.
 
 A name a module imports at top level must appear in its code or in its
 ``__all__``; ``from __future__`` imports are exempt. Deleting the last use
 of an imported name then fails here until the import goes too.
+
+Which app holds a class is read from ``combine.holders``, not off the origin
+app in a qualified name ``"app/Class"``, so no other module splits on ``/``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -38,3 +43,18 @@ def test_the_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def name_splits(source: str) -> list[int]:
+    """The numbers of the lines that split a string on ``/``."""
+    return [n for n, line in enumerate(source.splitlines(), 1) if re.search(r"split\(\s*[\"']/[\"']", line)]
+
+
+def test_the_guard_sees_a_split_name():
+    source = 'a = "x/y"\norigin = name.rsplit("/", 1)[0]\nparts = name.split( \'/\')\nb = a.split(",")\n'
+    assert name_splits(source) == [2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "combine.py"], ids=lambda p: p.name)
+def test_only_combine_splits_a_qualified_name(path):
+    assert name_splits(path.read_text(encoding="utf-8")) == []

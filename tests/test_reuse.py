@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import oracle
 from iccflow import taint
-from iccflow.combine import build_iac_graph, combine, split_graph
+from iccflow.combine import build_iac_graph, combine, holders, split_graph
 from iccflow.icc import links_by_app, match_links, resolve_corpus
 from iccflow.instrument import instrument_model
 from iccflow.ir import IccCall, SetResult
@@ -104,9 +104,10 @@ def _window_cfgs(corpus, max_len):
     apps = _bench() if corpus == "bench" else _mix(30, 3)
     links = match_links(resolve_corpus(apps), apps).links
     by_id = {a.app_id: a for a in apps}
-    by_app = links_by_app(links)
+    held = holders(apps)
+    by_app = links_by_app(links, held)
     out = []
-    for window in split_graph(build_iac_graph(list(by_id), links), max_len):
+    for window in split_graph(build_iac_graph(list(by_id), links, held), max_len):
         cfg = build_cfg(whole_window([by_id[a] for a in sorted(window)], by_app))
         out.append((cfg, propagate(cfg, CONFIG)))
     return out
@@ -170,7 +171,7 @@ def _check_against_full_merge(monkeypatch, apps, max_len):
 
     assert windows == got.sets
     by_id = {a.app_id: a for a in apps}
-    by_app = links_by_app(links)
+    by_app = links_by_app(links, holders(apps))
     want = AnalysisReport()
     for window, skip, was_idle in zip(windows, skips, idle):
         paths, diags, _ = _analyze_set(window, by_id, by_app, CONFIG)

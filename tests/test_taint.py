@@ -6,7 +6,7 @@ import pytest
 import oracle
 import progen
 from iccflow.cli import main
-from iccflow.combine import build_iac_graph, split_graph
+from iccflow.combine import build_iac_graph, holders, split_graph
 from iccflow.icc import links_by_app, match_links, resolve_corpus
 from iccflow.ir import (
     AppModel,
@@ -785,11 +785,11 @@ def test_windows_do_not_share_state(bench_root, default_config):
     assert not diags
     links = match_links(resolve_corpus(apps), apps).links
     texts = [serialize_app(a) for a in apps]
-    graph = build_iac_graph([a.app_id for a in apps], links)
+    graph = build_iac_graph([a.app_id for a in apps], links, holders(apps))
     windows = [tuple(sorted(s)) for s in split_graph(graph, 3)]
     assert any(sum(a.app_id in w for w in windows) > 1 for a in apps)
     by_id = {a.app_id: a for a in apps}
-    by_app = links_by_app(links)
+    by_app = links_by_app(links, holders(apps))
 
     def results(order):
         return {w: _analyze_set(w, by_id, by_app, default_config)[:2] for w in order}

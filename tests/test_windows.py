@@ -15,7 +15,7 @@ from functools import lru_cache
 import pytest
 
 from iccflow import taint
-from iccflow.combine import combine
+from iccflow.combine import combine, holders
 from iccflow.icc import links_by_app, match_links, resolve_corpus
 from iccflow.instrument import instrument_model, link_window
 from iccflow.parser import parse_app
@@ -60,7 +60,7 @@ def _windows(apps, max_len):
         analyze(apps, links, CONFIG, max_len)
     # a window is built exactly when it is not idle
     assert all((cfg is None) == was_idle for _, _, cfg, was_idle in out)
-    return [(app_ids, skip, cfg) for app_ids, skip, cfg, _ in out], links_by_app(links), len(overlays)
+    return [(app_ids, skip, cfg) for app_ids, skip, cfg, _ in out], links_by_app(links, holders(apps)), len(overlays)
 
 
 def _shape(cfg):
@@ -117,13 +117,13 @@ def _overlay(texts):
     they lie in other windows too, checked against whole instrumentation."""
     apps = _apps(*texts)
     links = match_links(resolve_corpus(apps), apps).links
-    by_app = links_by_app(links)
+    by_app = links_by_app(links, holders(apps))
     parts = [
         instrument_model(a, [link for link in by_app.get(a.app_id, ()) if not link.cross_app])
         for a in apps
     ]
     cross = [link for link in links if link.cross_app]
-    cfg = build_cfg(link_window(combine(parts), {a.app_id: a for a in apps}, cross))
+    cfg = build_cfg(link_window(combine(parts), apps, cross))
     assert _shape(cfg) == _shape(build_cfg(whole_window(apps, by_app)))
     return cfg
 
