@@ -22,8 +22,8 @@ seed-1 workload corpora, so every ``dummyMain`` they get is compared; and
 ``corpus/bench``.
 Reports show only a path's length, so it also compares every path's full
 statement list, printed by ``WITNESSES`` in-process against each
-checkout's ``src``, on ``dense``, ``sparse`` and ``widen`` seed 1 and on
-``corpus/bench`` at ``--max-len 3``. ``PARSES`` does the same for the
+checkout's ``src``, on ``dense``, ``sparse`` and ``widen`` seeds 1 and 2
+and on ``corpus/bench`` at ``--max-len 3``. ``PARSES`` does the same for the
 parser: the diagnostics and serialized model of every ``corpus/`` file,
 every ``progen`` corpus of seeds 0-59, 2,000 seeded line mutations of
 them (``progen.line_mutations``), every prefix of every ``corpus/`` file
@@ -121,10 +121,9 @@ def cases(head: Path, work: Path) -> list[tuple[str, list[str]]]:
             out.append((f"{name} seed {seed}",
                         ["analyze", str(corpus), "--max-len", str(max_len), "--config", config]))
             out.append((f"{name} seed {seed} links", ["links", str(corpus)]))
+            snippets.append((f"{name} seed {seed} witnesses", [WITNESSES, str(corpus), str(max_len), config]))
             if seed == 1:
                 out.append((f"instrument {name} seed {seed}", ["instrument", str(corpus)]))
-                snippets.append((f"{name} seed {seed} witnesses",
-                                 [WITNESSES, str(corpus), str(max_len), config]))
                 snippets.append((f"{name} seed {seed} parse", [PARSES, str(corpus)]))
     bench = str(head / "corpus" / "bench")
     snippets.append(("corpus/bench max-len 3 witnesses", [WITNESSES, bench, "3", config]))

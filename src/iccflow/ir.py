@@ -553,6 +553,11 @@ def validate(app: AppModel) -> list[Diagnostic]:
     return diags
 
 
+def _at(where: str, stmt: Stmt) -> str:
+    """The place a statement's diagnostic names: its method and its id."""
+    return f"{where} [{stmt.sid}]" if stmt.sid else where
+
+
 def _validate_method(
     app: AppModel, comp: Component, method: Method, path: Optional[str]
 ) -> list[Diagnostic]:
@@ -573,14 +578,13 @@ def _validate_method(
     in_component_method = _is_component_method(comp, method)
     for idx, block in enumerate(method.blocks):
         for stmt in block.stmts:
-            loc = f"{where} [{stmt.sid}]" if stmt.sid else where
             for used in _stmt_uses(stmt):
                 if used not in declared:
-                    diags.append(error(f"{loc}: use of undeclared variable {used!r}", path))
+                    diags.append(error(f"{_at(where, stmt)}: use of undeclared variable {used!r}", path))
             if isinstance(stmt, (GetIntent, SetResult, Finish)) and not in_component_method:
                 diags.append(
                     error(
-                        f"{loc}: {STMT_KEYWORDS[type(stmt)]} is only legal inside component methods "
+                        f"{_at(where, stmt)}: {STMT_KEYWORDS[type(stmt)]} is only legal inside component methods "
                         "(first parameter 'this' of an activity/service/"
                         "receiver/provider)",
                         path,
@@ -593,7 +597,7 @@ def _validate_method(
             ):
                 diags.append(
                     error(
-                        f"{loc}: start_activity_for_result needs a component "
+                        f"{_at(where, stmt)}: start_activity_for_result needs a component "
                         "method context (the result is delivered back to the "
                         "calling component)",
                         path,

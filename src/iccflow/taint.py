@@ -780,26 +780,35 @@ class _Window(NamedTuple):
     links: list[IccLink]  # links between two of its apps
 
 
-def _deaf(comp: Component) -> bool:
-    """Whether the input component never reads the intent it receives.
+def _reads(comp: Component) -> Optional[frozenset[str]]:
+    """The literal extra keys the input component reads of the intent it
+    receives, or None when it may read more. A *deaf* component reads none.
 
     In each method, ``this`` is only the object of a field store or of a
     load of a field but ``INTENT_FIELD`` (not reserved), or an argument of a
-    call with no class bound to its callee's ``this``. There is no
-    ``get_intent``, no ``return this``, and no result call unless
-    ``onActivityResult`` binds its first argument (the caller) to ``this``.
+    call with no class bound to its callee's ``this``. Each variable a
+    ``get_intent`` defines is used only as the intent of a ``get_extra``
+    with a literal key, which the read set holds. There is no ``return
+    this``, and no result call unless ``onActivityResult`` binds its first
+    argument (the caller) to ``this``.
     """
     own = {m.name: m for m in comp.methods()}
     back = own.get("onActivityResult")
     far_ok = back is None or back.params[:1] in ((), ("this",))
+    keys: set[str] = set()
     for method in own.values():
+        got: set[str] = set()  # get_intent results
+        held: set[str] = set()  # variables used but as a literal get_extra's intent
+        reads: list[tuple[str, str]] = []  # (intent, key) of each literal get_extra
         for block in method.blocks:
-            if isinstance(block.term, Return) and block.term.var == "this":
-                return False
+            if isinstance(block.term, Return) and block.term.var is not None:
+                if block.term.var == "this":
+                    return None
+                held.add(block.term.var)
             for stmt in block.stmts:
                 far = isinstance(stmt, IccCall) and stmt.kind == "start_activity_for_result"
-                if isinstance(stmt, GetIntent) or far and not far_ok:
-                    return False
+                if far and not far_ok:
+                    return None
                 used = _stmt_uses(stmt) + _stmt_defs(stmt)
                 if isinstance(stmt, FieldStore) or isinstance(stmt, FieldLoad) and stmt.fld != INTENT_FIELD:
                     used.remove(stmt.obj)
@@ -808,8 +817,17 @@ def _deaf(comp: Component) -> bool:
                     used = [a for k, a in enumerate(stmt.args) if params[k : k + 1] != ("this",)]
                     used += _stmt_defs(stmt)
                 if "this" in used:
-                    return False
-    return True
+                    return None
+                if isinstance(stmt, GetIntent):
+                    got.add(stmt.dst)
+                elif isinstance(stmt, GetExtra) and stmt.key.is_literal:
+                    reads.append((stmt.intent, stmt.key.text))
+                else:
+                    held.update(_stmt_uses(stmt))
+        if not got.isdisjoint(held):
+            return None
+        keys.update(key for intent, key in reads if intent in got)
+    return frozenset(keys)
 
 
 class _Reuse:
@@ -826,9 +844,11 @@ class _Reuse:
     result another app returns. It also holds the *boundary* keys where the
     source's facts could leave that app:
 
-    * an ICC site, by its original statement id (also when it was split
-      into redirect branches), reached by a fact on its intent, or on
-      ``this`` for a result call, whose callback gets the caller;
+    * an ICC site, by its original statement id ``site`` (also when it was
+      split into redirect branches), reached by a fact on its intent, or on
+      ``this`` for a result call, whose callback gets the caller; a fact on
+      the intent under one literal extra key ``k`` and no more keys
+      ``(site, k)`` and ``(site, WILD)`` instead;
     * a component, reached by a fact on the intent or on ``this`` at one of
       its ``set_result`` statements, or by any fact at its driver's exit,
       where another app reads the result;
@@ -848,20 +868,33 @@ class _Reuse:
     pair the recording window did not report. Nothing is scanned or
     recorded when no app lies in two windows.
 
-    A *harmless* cross-app link, not a result link and into a *deaf*
-    component ``C`` (``_deaf``), does not link its site out. Its redirect
-    runs ``t = new_obj C; C.ctor(t, i); C.dummyMain(t)``, which writes no
-    ``i``, and facts do not alias, so the caller's facts after the site are
-    those of an opaque site. In ``C`` the caller's taint lies only on the
-    component object, under the first selector ``("f", INTENT_FIELD)``,
-    which ``_truncate`` keeps, and ``dummyMain`` binds the object by the
-    name ``this``. Such facts reach nothing unless ``C`` reads that field or
-    lets ``this`` reach a sink, an intent, another object's field, a return
-    value or another class, which a deaf ``C`` does not. Nor do its
+    A cross-app link that is not a result link, into a component ``C``
+    with a read set (``_reads``), passes on only the extras ``C`` reads: the
+    window links ``site`` out, and ``(site, k)`` for each key ``k`` that
+    ``C`` reads, unless ``C`` is *deaf* and reads none, which makes the link
+    *harmless*. A result link, or a target with no read set, links ``site``
+    and ``(site, WILD)`` out: every key. Its redirect runs ``t = new_obj C;
+    C.ctor(t, i); C.dummyMain(t)``, which writes no ``i``, and facts do not
+    alias, so the caller's facts after the site are those of an opaque
+    site. In ``C`` the caller's taint lies only on the component object,
+    under the first selector ``("f", INTENT_FIELD)``, which ``_truncate``
+    keeps, and ``dummyMain`` binds the object by the name ``this``. Such
+    facts reach nothing unless ``C`` reads that field or lets ``this`` reach
+    a sink, an intent, another object's field, a return value or another
+    class, which ``C`` does not but through ``get_intent``. Nor do its
     synthetic parts: the setters store into ``this``, ``getIntentFAR``
     loads another field, ``getIntent`` runs only at a ``get_intent``, and a
-    non-result redirect is not passed ``this``. So the source finds no pair
-    in ``C``, and in its own app what the recording window found.
+    non-result redirect is not passed ``this``. A ``get_intent`` result holds
+    the caller's facts with the first selector cut, and ``C`` uses it only
+    as the intent of a ``get_extra`` with a literal key it reads. A fact
+    under one selector ``("e", k)`` arrives as ``(("f", INTENT_FIELD), ("e",
+    k))``, within ``K``, so ``get_intent`` gives it the chain ``(("e", k),)``
+    exactly, which a ``get_extra`` of another literal key does not match.
+    So a source whose facts reach the site only under keys that no target
+    there reads finds no pair in ``C``, and in its own app what the
+    recording window found. A longer chain is cut to a ``WILD`` second
+    selector, which every ``get_extra`` matches, so it keys ``site``, as do
+    a ``WILD`` head, the empty chain and a fact on ``this``.
 
     An *idle* window, with no live source (configured, not skipped) and
     only *quiet* apps, is not built: ``propagate`` would seed no root, and
@@ -882,12 +915,13 @@ class _Reuse:
         self.held = held  # ``combine.holders``
         self.cross = cross  # ``IacGraph.edges``: by (call-site app, target app)
         self.intra = {a.app_id: [x for x in by_app.get(a.app_id, ()) if held.get(x.to) == a.app_id] for a in apps}
-        # app -> boundary node -> (key, the fact bases that leave there; None: any)
-        self.boundary: dict[str, dict[Node, tuple[object, Optional[frozenset[str]]]]] = {}
+        # app -> boundary node -> (key, the fact bases that leave there (None:
+        # any), the ICC site's intent, whose one-extra facts are keyed per key)
+        self.boundary: dict[str, dict[Node, tuple[object, Optional[frozenset[str]], Optional[str]]]] = {}
         self.calls_out: dict[str, list[tuple[StmtId, str]]] = {}
         self.sources: dict[str, list[tuple[StmtId, str]]] = {}  # (statement, source name)
         self.records: dict[str, dict[StmtId, list[tuple[frozenset, frozenset]]]] = {}
-        self.deaf: set[str] = set()
+        self.reads: dict[str, Optional[frozenset[str]]] = {}  # component -> ``_reads``
         self.quiet: set[str] = set()
         if self.shared:
             providers = {
@@ -898,13 +932,13 @@ class _Reuse:
 
     def _scan(self, app: AppModel, sent: list[IccLink], providers: set[str]) -> None:
         nodes = self.boundary[app.app_id] = {}
-        self.deaf.update(c.qualified_name for c in app.components if _deaf(c))
+        self.reads.update((c.qualified_name, _reads(c)) for c in app.components)
         calls = self.calls_out[app.app_id] = []
         sources = self.sources[app.app_id] = []
         resolved, (by_name, by_qualified) = Cfg(model=app), _by_name(app)
         for comp in app.components:
             qname = comp.qualified_name
-            nodes[("exit", (comp.origin_app, comp.name, "dummyMain"))] = (qname, None)
+            nodes[("exit", (comp.origin_app, comp.name, "dummyMain"))] = (qname, None, None)
             for method in comp.methods():
                 for block in method.blocks:
                     for stmt in block.stmts:
@@ -914,11 +948,11 @@ class _Reuse:
                         elif isinstance(stmt, IccCall):
                             far = stmt.kind == "start_activity_for_result"
                             bases = (stmt.intent, "this") if far else (stmt.intent,)
-                            nodes[node] = (stmt.sid, frozenset(bases))
+                            nodes[node] = (stmt.sid, frozenset(bases), stmt.intent)
                         elif isinstance(stmt, SetResult):
-                            nodes[node] = (qname, frozenset((stmt.intent, "this")))
+                            nodes[node] = (qname, frozenset((stmt.intent, "this")), None)
                         elif isinstance(stmt, Call) and self.held.get(stmt.cls, app.app_id) != app.app_id:
-                            nodes[node] = (stmt.sid, frozenset(stmt.args))
+                            nodes[node] = (stmt.sid, frozenset(stmt.args), None)
                             calls.append((stmt.sid, self.held[stmt.cls]))
                         if isinstance(stmt, Call):
                             _resolve_callee(resolved, comp, stmt, by_name, by_qualified)
@@ -953,11 +987,14 @@ class _Reuse:
                 for link in self.cross.get((caller, target), ()):
                     links.append(link)
                     entries[target].add((link.to, link.kind))
+                    site, reads = link.from_stmt, self.reads.get(link.to)  # None: any key
                     if link.kind == "start_activity_for_result":
-                        out.update((link.from_stmt, link.to))
-                        entries[caller].add((link.from_stmt, "result"))
-                    elif link.to not in self.deaf:  # else harmless
-                        out.add(link.from_stmt)
+                        out.add(link.to)
+                        entries[caller].add((site, "result"))
+                        reads = None  # the callback gets the caller
+                    if reads != frozenset():  # else harmless
+                        out.add(site)
+                        out.update((site, k) for k in ((WILD,) if reads is None else reads))
         frozen = {a: frozenset(e) for a, e in entries.items()}
         skip = frozenset(
             source
@@ -1013,8 +1050,10 @@ class _Reuse:
         }
         for _, _, n, d in preds:
             if n in nodes and d.origin in reached:
-                key, bases = nodes[n]
-                if bases is None or d.base in bases:
+                key, bases, intent = nodes[n]
+                if d.base == intent and len(d.chain) == 1 and d.chain[0][0] == "e":
+                    reached[d.origin][1].update(((key, d.chain[0][1]), (key, WILD)))
+                elif bases is None or d.base in bases:
                     reached[d.origin][1].add(key)
         for source, (app, keys) in reached.items():
             if not keys.isdisjoint(window.out):
@@ -1073,12 +1112,13 @@ def analyze(
     only the links between its apps: its model is the one instrumenting the
     window whole builds, up to the names of synthetic statements. A window
     does not tabulate a source statement again when an earlier window covers
-    it, also where its taint meets only *harmless* links to other apps: not
-    for a result, into a *deaf* component, one that never reads the intent
-    it receives. Skipping a source leaves every other source's tabulation,
-    and so its witness paths, as it was (see ``propagate``), and each pair
-    the skipped source would find here, the recording window reported. An
-    *idle* window (no live source, no app that can warn or fail) is skipped.
+    it, also where its taint reaches other apps only through links that do
+    not ask for a result, into components that read none of the intent's
+    extras it lies under (see ``_reads``). Skipping a source leaves every
+    other source's tabulation, and so its witness paths, as it was (see
+    ``propagate``), and each pair the skipped source would find here, the
+    recording window reported. An *idle* window (no live source, no app
+    that can warn or fail) is skipped.
     """
     report = AnalysisReport()
     held = holders(apps)

@@ -4,8 +4,9 @@
 already covers it. These tests check the two facts that make the skip leave
 every report unchanged: suppressing sources leaves every other source's
 tabulation as it was, and a skipped source finds nothing an earlier window
-did not already report, also where its taint went into a deaf component of
-another app, one that never reads the intent it receives.
+did not already report, also where its taint went into a component of
+another app that reads none of the intent's extras it lies under: a deaf
+one reads none, others read only literal keys (``taint._reads``).
 """
 
 import random
@@ -21,7 +22,7 @@ import oracle
 from iccflow import taint
 from iccflow.combine import build_iac_graph, combine, holders, split_graph
 from iccflow.icc import links_by_app, match_links, resolve_corpus
-from iccflow.instrument import instrument_model
+from iccflow.instrument import INTENT_FIELD, instrument_model
 from iccflow.ir import IccCall, SetResult
 from iccflow.parser import load_corpus, parse_app
 from iccflow.taint import (
@@ -202,12 +203,25 @@ def test_shared_mix_report_matches_a_full_merge(monkeypatch, progen_n, seed, max
     apps = _mix(progen_n, seed, fanout)
     assert any("_SA4" in a.app_id for a in apps) == fanout
     skips = _check_against_full_merge(monkeypatch, apps, max_len)
-    # the same with no component deaf: every link takes taint out of its app
+    real = taint._reads
     with monkeypatch.context() as m:
-        m.setattr(taint, "_deaf", lambda comp: False)
+        # the same with no component's read set known: every link takes
+        # taint out of its app
+        m.setattr(taint, "_reads", lambda comp: None)
         linked_out = _check_against_full_merge(monkeypatch, apps, max_len)
+        # and with only deaf components known: a link is harmless whole or not
+        m.setattr(taint, "_reads", lambda comp: None if real(comp) else real(comp))
+        deaf_only = _check_against_full_merge(monkeypatch, apps, max_len)
     assert sum(map(len, linked_out)) > 0
     assert sum(len(a - b) for a, b in zip(skips, linked_out)) > 0  # harmless links
+    assert sum(map(len, skips)) > sum(map(len, deaf_only))  # harmless per extra key
+
+
+@pytest.mark.parametrize("fanout", [True, False])
+@pytest.mark.parametrize("max_len", [2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_small_shared_mixes_report_what_a_full_merge_reports(monkeypatch, seed, max_len, fanout):
+    _check_against_full_merge(monkeypatch, _mix(40, seed, fanout), max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +382,27 @@ app "Z" {
 }
 """
 
+STORED_INTENT = """
+app "A" {
+  component activity D {
+    filter { action "com.a.D"; }
+    method onCreate(this) {
+      s = source "getDeviceId"
+      t = new_obj "A/C"
+      t.intent_for_ipc = s
+      call "A/C".foo(t)
+    }
+  }
+  component activity C {
+    filter { action "com.a.C"; }
+    method foo(this) {
+      j = get_intent
+      sink "writeLog" j
+    }
+  }
+}
+"""
+
 TRIPLES = {
     # Z starts a component that only other apps root
     "new_entry": (
@@ -400,6 +435,14 @@ TRIPLES = {
          STARTER % ("M", 'set_action i "com.a.ECHO"', "start_activity_for_result", ""),
          STARTER % ("Z", 'set_action i "com.a.ECHO"', "start_activity_for_result", SINK_RESULT)],
         ("A/Echo/onCreate/b0/0", "Z/Main/onActivityResult/b0/1"),
+    ),
+    # Z enters C, whose driver does not reach D's source, but the entry
+    # gives C the getIntent that D's direct call to C.foo then reads
+    "entry_reads_a_stored_intent": (
+        [STORED_INTENT,
+         STARTER % ("M", 'set_action i "com.a.D"', "start_activity", ""),
+         STARTER % ("Z", 'set_action i "com.a.C"', "start_activity", "")],
+        ("A/D/onCreate/b0/0", "A/C/foo/b0/1"),
     ),
     # Z calls into A by qualified class name
     "qualified_call": (
@@ -563,7 +606,7 @@ def _reads(case):
 def test_a_target_that_reads_the_intent_keeps_the_source_live(monkeypatch, case):
     texts, (source, sink) = _reads(case)
     apps = [parse_app(text).app for text in texts]
-    deaf = {c.qualified_name for a in apps for c in a.components if taint._deaf(c)}
+    deaf = {c.qualified_name for a in apps for c in a.components if taint._reads(c) == frozenset()}
     assert ("M/Asked" if case == "result_link" else "M/Quiet") in deaf
     assert "Z/Loud" not in deaf
     links = match_links(resolve_corpus(apps), apps).links
@@ -575,20 +618,143 @@ def test_a_target_that_reads_the_intent_keeps_the_source_live(monkeypatch, case)
 
 def test_a_source_that_meets_only_deaf_targets_is_skipped(monkeypatch):
     apps = [parse_app(text).app for text in (SENDER, QUIET % "M", QUIET % "Z")]
-    assert all(taint._deaf(c) for c in apps[1].components + apps[2].components)
+    assert all(taint._reads(c) == frozenset() for c in apps[1].components + apps[2].components)
     skips = _check_against_full_merge(monkeypatch, apps, 2)
     assert [sorted(map(str, s)) for s in skips] == [[], ["A/Main/onCreate/b0/0"]]
 
 
-def _far_reaching(cfg, res, comp):
+# ---------------------------------------------------------------------------
+# harmless per extra key: a target that reads other keys keeps the taint in
+# ---------------------------------------------------------------------------
+#
+# A's source rides its intent under "tok", as the extra itself or inside a
+# nested intent (two selectors, which the target sees cut to a wildcard).
+# M's Reader, which the site starts first, reads only "loc", so window
+# (A, M) records the flat source. Z's Reader reads "tok" in one way each,
+# or only "loc" too, which is the one case where window (A, Z) may skip it.
+
+KEYED_SENDER = """
+app "A" {
+  component activity Main {
+    filter { action "MAIN"; }
+    method onCreate(this) {
+      x = source "getDeviceId"
+      n = new_intent
+      put_extra n "in" x
+      i = new_intent
+      set_action i "com.x.GO"
+      put_extra i "tok" %s
+      icc %s i
+    }
+  }
+}
+"""
+
+READER = """
+app "%s" {
+  component activity Reader {
+    filter { action "com.x.GO"; }
+%s  }
+}
+"""
+
+READ_LOC = """    method onCreate(this) {
+      j = get_intent
+      v = get_extra j "loc"
+      sink "writeLog" v
+    }
+"""
+
+# Z's Reader: its methods, its read set, and the statement that sinks "tok"
+KEY_READS = {
+    "loc_only": (READ_LOC, frozenset({"loc"}), None),
+    "tok": (READ_LOC.replace('"loc"', '"tok"'), frozenset({"tok"}), "Z/Reader/onCreate/b0/2"),
+    "variable_key": ("""    method onCreate(this) {
+      j = get_intent
+      k = "tok"
+      v = get_extra j k
+      sink "writeLog" v
+    }
+""", None, "Z/Reader/onCreate/b0/3"),
+    "copy": ("""    method onCreate(this) {
+      j = get_intent
+      c = j
+      v = get_extra c "tok"
+      sink "writeLog" v
+    }
+""", None, "Z/Reader/onCreate/b0/3"),
+    "helper": ("""    method onCreate(this) {
+      j = get_intent
+      call peek(this, j)
+    }
+    method peek(this, c) {
+      v = get_extra c "tok"
+      sink "writeLog" v
+    }
+""", None, "Z/Reader/peek/b0/1"),
+    "intent_field": ("""    method onCreate(this) {
+      j = this.intent_for_ipc
+      v = get_extra j "tok"
+      sink "writeLog" v
+    }
+""", None, "Z/Reader/onCreate/b0/2"),
+    "on_resume": (READ_LOC + """    method onResume(this) {
+      j = get_intent
+      v = get_extra j "tok"
+      sink "writeLog" v
+    }
+""", frozenset({"loc", "tok"}), "Z/Reader/onResume/b0/2"),
+    "stored": ("""    method onCreate(this) {
+      j = get_intent
+      this.g = j
+    }
+    method onResume(this) {
+      o = this.g
+      v = get_extra o "tok"
+      sink "writeLog" v
+    }
+""", None, "Z/Reader/onResume/b0/2"),
+}
+
+
+def _keyed(case, nested, kind):
+    """The triple's texts and the pairs it must report: the flat extra
+    reaches only a read of "tok", the nested one every read."""
+    methods, _, tok = KEY_READS[case]
+    texts = [KEYED_SENDER % ("n" if nested else "x", kind), READER % ("M", READ_LOC), READER % ("Z", methods)]
+    sinks = {tok} - {None}
+    if nested:
+        sinks |= {"M/Reader/onCreate/b0/2"} | ({"Z/Reader/onCreate/b0/2"} if READ_LOC in methods else set())
+    return texts, {("A/Main/onCreate/b0/0", sink) for sink in sinks}
+
+
+@pytest.mark.parametrize("kind", ["start_activity", "start_activity_for_result"])
+@pytest.mark.parametrize("nested", [False, True])
+@pytest.mark.parametrize("case", sorted(KEY_READS))
+def test_a_source_is_skipped_only_where_no_target_reads_its_key(monkeypatch, case, nested, kind):
+    texts, want = _keyed(case, nested, kind)
+    apps = [parse_app(text).app for text in texts]
+    assert [taint._reads(a.components[0]) for a in apps[1:]] == [frozenset({"loc"}), KEY_READS[case][1]]
+    links = match_links(resolve_corpus(apps), apps).links
+    report = analyze(apps, links, CONFIG, 2)
+    assert report.sets == [("A", "M"), ("A", "Z")]
+    assert {(str(p.source), str(p.sink)) for p in report.paths} == want
+    skips = _check_against_full_merge(monkeypatch, apps, 2)
+    assert skips[0] == frozenset()
+    skipped = case == "loc_only" and not nested and kind == "start_activity"
+    assert sorted(map(str, skips[1])) == (["A/Main/onCreate/b0/0"] if skipped else [])
+
+
+def _far_reaching(cfg, hits, preds, comp):
     """The facts from another app than ``comp``'s that reach, in ``comp``, a
     sink hit, a ``set_result``, an ICC site, a redirect call or a call into
-    another class, as (statement, fact). A result redirect's ``caller`` is
-    left out: it carries the component into its own callback."""
+    another class, as (statement, fact), among the ``hits`` and the path
+    edges of ``preds``. A result redirect's ``caller`` is left out: it
+    carries the component into its own callback."""
     mine = (comp.origin_app, comp.name)
-    out = [(h.sink, h.fact) for h in res.hits
+    out = [(h.sink, h.fact) for h in hits
            if (h.sink.app, h.sink.cls) == mine and h.fact.origin.app != comp.origin_app]
-    for node, fact in _node_records(res.preds):
+    for node, fact in _node_records(preds):
         if node[0] != "stmt" or (node[1].app, node[1].cls) != mine or fact.origin.app == comp.origin_app:
             continue
         sid, stmt = node[1], cfg.stmts[node[1]]
@@ -602,22 +768,47 @@ def _far_reaching(cfg, res, comp):
     return out
 
 
+def _unread(d1, comp, keys):
+    """Whether ``d1`` is another app's fact on ``comp``'s object under one
+    extra key of the intent it holds, not one of ``keys``."""
+    chain = () if d1 is ZERO else d1.chain
+    return (
+        d1 is not ZERO and d1.base == "this" and d1.origin.app != comp.origin_app
+        and len(chain) == 2 and chain[0] == ("f", INTENT_FIELD) and chain[1][0] == "e"
+        and chain[1][1] not in keys
+    )
+
+
 @pytest.mark.parametrize("corpus, max_len", [("bench", 2), ("bench", 3), ("bench", 4), ("mix", 2), ("mix", 3)])
 def test_no_taint_from_another_app_gets_out_of_a_deaf_component(corpus, max_len):
+    """Nor out of a component with a read set, under a key it does not read:
+    in a context that such a fact enters, no fact reaches anything far."""
     windows = _window_cfgs(corpus, max_len)
     apps = _bench() if corpus == "bench" else _mix(30, 3)
-    deaf = [c for a in apps for c in a.components if c.kind.is_component and taint._deaf(c)]
-    assert deaf
+    comps = [c for a in apps for c in a.components if c.kind.is_component]
+    deaf = [c for c in comps if taint._reads(c) == frozenset()]
+    readers = [(c, taint._reads(c)) for c in comps if taint._reads(c)]
+    assert deaf and readers
     entered = 0  # deaf components that taint from another app enters
+    unread = 0  # components with a read set that a key they do not read enters
     for cfg, res in windows:
         present = {(c.origin_app, c.name) for c in cfg.model.components}
         foreign = {n[1][:2] for n, d in _node_records(res.preds)
                    if n[0] == "entry" and d.origin.app != n[1][0]}
         for comp in deaf:
             if (comp.origin_app, comp.name) in present:
-                assert _far_reaching(cfg, res, comp) == []
+                assert _far_reaching(cfg, res.hits, res.preds, comp) == []
                 entered += (comp.origin_app, comp.name) in foreign
+        for comp, keys in readers:
+            mine = (comp.origin_app, comp.name)
+            contexts = {k[1] for k in res.preds if k[0][:2] == mine and _unread(k[1], comp, keys)}
+            if contexts:
+                preds = {k: rec for k, rec in res.preds.items() if k[1] in contexts}
+                hits = [h for h in res.hits if h.edge[1] in contexts]
+                assert _far_reaching(cfg, hits, preds, comp) == []
+                unread += 1
     assert entered > 0
+    assert unread > 0 or corpus == "bench"  # no bench window enters one so
 
 
 # ---------------------------------------------------------------------------
