@@ -90,7 +90,7 @@ def _cmd_combine(args) -> int:
     apps = _load_models(args.paths)
     result = match_links(resolve_corpus(apps), apps)
     _print_diags(result.diagnostics)
-    graph = build_iac_graph([a.app_id for a in apps], result.links, holders(apps))
+    graph = build_iac_graph(apps, result.links, holders(apps))
     for group in split_graph(graph, args.max_len):
         print("+".join(sorted(group)))
     return 1 if result.diagnostics else 0

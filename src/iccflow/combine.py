@@ -10,8 +10,9 @@ directed walk covers (DidFail composes flows along the same directed intent
 graph). A walk goes from a link's call-site app to its target app, and back
 for ``start_activity_for_result``, whose result returns to the caller; these
 are the ways an intent carries a leak chain between apps, so every such chain
-through at most ``max_len`` apps lies inside an emitted set. A plain call
-between two apps makes no edge.
+through at most ``max_len`` apps lies inside an emitted set. A call that
+names a class another app holds joins the two apps both ways, since the
+call returns.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .icc import IccLink
-from .ir import AppModel
+from .ir import AppModel, Call
 
 
 class CombineError(Exception):
@@ -53,22 +54,38 @@ def holders(apps: list[AppModel]) -> dict[str, str]:
 
 @dataclass
 class IacGraph:
-    """App graph; an edge means at least one link between two apps."""
+    """App graph; an edge means a link or a call between two apps."""
 
     nodes: list[str] = field(default_factory=list)
-    # key is the (call-site holder, target holder) pair; links sorted
+    # key is the (call-site holder, target holder) pair; links sorted (a
+    # call's edges may hold none)
     edges: dict[tuple[str, str], list[IccLink]] = field(default_factory=dict)
+    # (caller app, call, callee app) for each call to a class another app holds
+    calls: list[tuple[str, Call, str]] = field(default_factory=list)
 
 
-def build_iac_graph(apps: list[str], links: list[IccLink], held: dict[str, str]) -> IacGraph:
+def build_iac_graph(apps: list[AppModel], links: list[IccLink], held: dict[str, str]) -> IacGraph:
     """Join the two apps that hold a link's call site and its target; a link
-    one app holds both ends of, or no app in ``apps`` holds an end of, joins none."""
-    graph = IacGraph(nodes=sorted(apps))
+    one app holds both ends of, or no app in ``apps`` holds an end of, joins
+    none. A call to a class that another app in ``apps`` holds joins the two
+    both ways."""
+    graph = IacGraph(nodes=sorted(a.app_id for a in apps))
     known = set(graph.nodes)
     for link in sorted(links):
         a, b = held.get(link.from_stmt.qualified_cls), held.get(link.to)
         if a != b and a in known and b in known:
             graph.edges.setdefault((a, b), []).append(link)
+    for app in apps:
+        for comp in app.components:
+            for method in comp.methods():
+                for block in method.blocks:
+                    for stmt in block.stmts:
+                        if type(stmt) is Call and held.get(stmt.cls, app.app_id) != app.app_id:
+                            graph.calls.append((app.app_id, stmt, held[stmt.cls]))
+    for a, _, b in graph.calls:
+        if b in known:
+            graph.edges.setdefault((a, b), [])
+            graph.edges.setdefault((b, a), [])
     return graph
 
 

@@ -20,9 +20,9 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Container, Iterable, NamedTuple, Optional
 
-from .combine import build_iac_graph, combine, holders, split_graph
+from .combine import IacGraph, build_iac_graph, combine, holders, split_graph
 from .icc import IccLink, links_by_app
-from .instrument import INTENT_FIELD, InstrumentError, instrument_model, link_window
+from .instrument import INTENT_FIELD, RESULT_FIELD, InstrumentError, instrument_model, link_window
 from .instrument import _already_instrumented, _locate
 from .ir import (
     AppModel,
@@ -731,14 +731,14 @@ def classify_path(
     return klass, tuple(sorted(apps or class_apps))
 
 
-def extract_paths(result: TaintResult, cfg: Cfg) -> list[TaintedPath]:
-    """One witness path per distinct (origin, sink) pair, in sorted order."""
+def extract_paths(result: TaintResult, cfg: Cfg, seen: Container = frozenset()) -> list[TaintedPath]:
+    """One witness path per distinct (origin, sink) pair not in ``seen``, in sorted order."""
     paths: dict[tuple[StmtId, StmtId], TaintedPath] = {}
     comp_of = {(c.origin_app, c.name): c for c in cfg.model.components}
     for hit in result.hits:
         assert hit.fact.origin is not None
         key = (hit.fact.origin, hit.sink)
-        if key in paths:
+        if key in paths or key in seen:
             continue
         nodes = _trace(hit.edge, result.preds)
         sids = [n[1] for n in nodes if n[0] == "stmt"]
@@ -839,10 +839,13 @@ class _Reuse:
 
     Each window records the source statements it did not skip, of each of
     its apps that lies in a later window too. A record holds the source
-    app's *entries*: the components the window's other apps link into, with
-    the link kind, and the ICC sites whose ``start_activity_for_result``
+    app's *entries*, what the window's other apps add to the app's model
+    that its part does not have: ``(C, "root")`` for a component ``C`` they
+    link into that has no filter and no intra-app link into it, and
+    ``(site, "result")`` for an ICC site whose ``start_activity_for_result``
     result another app returns. It also holds the *boundary* keys where the
-    source's facts could leave that app:
+    source's facts could leave that app, or meet code that another window
+    adds:
 
     * an ICC site, by its original statement id ``site`` (also when it was
       split into redirect branches), reached by a fact on its intent, or on
@@ -850,9 +853,28 @@ class _Reuse:
       the intent under one literal extra key ``k`` and no more keys
       ``(site, k)`` and ``(site, WILD)`` instead;
     * a component, reached by a fact on the intent or on ``this`` at one of
-      its ``set_result`` statements, or by any fact at its driver's exit,
-      where another app reads the result;
-    * a call naming a class another app holds, reached by a fact on an argument.
+      its ``set_result`` statements, or at its driver's exit by a fact on
+      ``this`` under ``("f", RESULT_FIELD)`` or a ``WILD`` head, the only
+      facts that a result link's ``getIntentFAR`` reads back;
+    * a call naming a class another app holds, reached by a fact on an argument;
+    * ``(C, INTENT_FIELD)``, reached at a ``get_intent`` of component ``C`` by
+      a fact on ``this`` under ``("f", INTENT_FIELD)`` or a ``WILD`` head,
+      which a ``getIntent`` would read. A window links it out when another
+      app links into ``C`` and no intra-app link gives ``C`` its
+      ``ctor``/``getIntent``, so ``get_intent`` reads the field there and
+      yields a clean value elsewhere.
+
+    A link's kind adds no entry: a result link's ``setResult`` runs only at
+    a ``set_result`` of ``C`` and its ``getIntentFAR`` reads only ``C``'s
+    exit, both keyed ``C``, which a result link links out. Its redirect runs
+    ``C.dummyMain`` on an object holding another app's intent: the source's
+    facts there are those of the ``ZERO`` context a root already has, and
+    at the exit they fall on that object. ``getIntent`` is a key, not an
+    entry, since which objects reach ``C``'s code as ``this`` is up to the
+    app: ``D``, started by the app's own intent, may pass its object to
+    ``call "A/C".foo(this)``, and ``C`` may put the source on ``this`` under
+    a variable extra key (a ``WILD`` head), with no store to
+    ``INTENT_FIELD`` and no call from another class.
 
     A window records a source only if it linked none of its keys to another
     app, so the source's taint stayed in its app. A source the window never
@@ -907,18 +929,22 @@ class _Reuse:
 
     def __init__(
         self, apps: list[AppModel], by_app: dict[str, list[IccLink]], windows: list[tuple[str, ...]],
-        held: dict[str, str], cross: dict[tuple[str, str], list[IccLink]],
+        held: dict[str, str], graph: IacGraph,
     ):
         self.left = Counter(app for window in windows for app in window)
         self.shared = {app for app, n in self.left.items() if n > 1}
         self.parts: dict[str, Optional[AppModel]] = {}  # None: it failed
-        self.held = held  # ``combine.holders``
-        self.cross = cross  # ``IacGraph.edges``: by (call-site app, target app)
+        self.cross = graph.edges  # by (call-site app, target app)
         self.intra = {a.app_id: [x for x in by_app.get(a.app_id, ()) if held.get(x.to) == a.app_id] for a in apps}
-        # app -> boundary node -> (key, the fact bases that leave there (None:
-        # any), the ICC site's intent, whose one-extra facts are keyed per key)
-        self.boundary: dict[str, dict[Node, tuple[object, Optional[frozenset[str]], Optional[str]]]] = {}
-        self.calls_out: dict[str, list[tuple[StmtId, str]]] = {}
+        self.fed = {x.to for links in self.intra.values() for x in links}  # a part's ctor/getIntent
+        self.rooted = self.fed | {c.qualified_name for a in apps for c in a.components if c.filters}
+        # app -> boundary node -> (key, the fact bases that leave there, the
+        # ICC site's intent, whose one-extra facts are keyed per key, the
+        # field a fact on ``this`` leaves under, or with a ``WILD`` head)
+        self.boundary: dict[str, dict[Node, tuple[object, frozenset[str], Optional[str], Optional[str]]]] = {}
+        self.calls_out: dict[str, list[tuple[Call, str]]] = {}  # ``IacGraph.calls`` by caller app
+        for app_id, call, callee_app in graph.calls:
+            self.calls_out.setdefault(app_id, []).append((call, callee_app))
         self.sources: dict[str, list[tuple[StmtId, str]]] = {}  # (statement, source name)
         self.records: dict[str, dict[StmtId, list[tuple[frozenset, frozenset]]]] = {}
         self.reads: dict[str, Optional[frozenset[str]]] = {}  # component -> ``_reads``
@@ -933,12 +959,12 @@ class _Reuse:
     def _scan(self, app: AppModel, sent: list[IccLink], providers: set[str]) -> None:
         nodes = self.boundary[app.app_id] = {}
         self.reads.update((c.qualified_name, _reads(c)) for c in app.components)
-        calls = self.calls_out[app.app_id] = []
         sources = self.sources[app.app_id] = []
         resolved, (by_name, by_qualified) = Cfg(model=app), _by_name(app)
+        this = frozenset(("this",))
         for comp in app.components:
             qname = comp.qualified_name
-            nodes[("exit", (comp.origin_app, comp.name, "dummyMain"))] = (qname, None, None)
+            nodes[("exit", (comp.origin_app, comp.name, "dummyMain"))] = (qname, this, None, RESULT_FIELD)
             for method in comp.methods():
                 for block in method.blocks:
                     for stmt in block.stmts:
@@ -948,14 +974,15 @@ class _Reuse:
                         elif isinstance(stmt, IccCall):
                             far = stmt.kind == "start_activity_for_result"
                             bases = (stmt.intent, "this") if far else (stmt.intent,)
-                            nodes[node] = (stmt.sid, frozenset(bases), stmt.intent)
+                            nodes[node] = (stmt.sid, frozenset(bases), stmt.intent, None)
                         elif isinstance(stmt, SetResult):
-                            nodes[node] = (qname, frozenset((stmt.intent, "this")), None)
-                        elif isinstance(stmt, Call) and self.held.get(stmt.cls, app.app_id) != app.app_id:
-                            nodes[node] = (stmt.sid, frozenset(stmt.args), None)
-                            calls.append((stmt.sid, self.held[stmt.cls]))
-                        if isinstance(stmt, Call):
+                            nodes[node] = (qname, frozenset((stmt.intent, "this")), None, None)
+                        elif isinstance(stmt, GetIntent):
+                            nodes[node] = ((qname, INTENT_FIELD), this, None, INTENT_FIELD)
+                        elif isinstance(stmt, Call):
                             _resolve_callee(resolved, comp, stmt, by_name, by_qualified)
+        calls = self.calls_out.get(app.app_id, [])
+        nodes.update((("stmt", c.sid), (c.sid, frozenset(c.args), None, None)) for c, _ in calls)
         sites = [_locate(app, sid) for sid in {link.from_stmt for link in sent}]
         if not (calls or resolved.diagnostics or _already_instrumented(app)) and all(
             [c.origin_app == app.app_id for c in app.components]
@@ -979,14 +1006,17 @@ class _Reuse:
         called: set[str] = set()
         links: list[IccLink] = []
         for caller in app_ids:
-            for sid, callee_app in self.calls_out.get(caller, ()):
+            for call, callee_app in self.calls_out.get(caller, ()):
                 if callee_app in entries:
-                    out.add(sid)
+                    out.add(call.sid)
                     called.add(callee_app)
             for target in app_ids:
                 for link in self.cross.get((caller, target), ()):
                     links.append(link)
-                    entries[target].add((link.to, link.kind))
+                    if link.to not in self.rooted:
+                        entries[target].add((link.to, "root"))
+                    if link.to not in self.fed:
+                        out.add((link.to, INTENT_FIELD))  # its get_intent now reads the field
                     site, reads = link.from_stmt, self.reads.get(link.to)  # None: any key
                     if link.kind == "start_activity_for_result":
                         out.add(link.to)
@@ -1050,10 +1080,10 @@ class _Reuse:
         }
         for _, _, n, d in preds:
             if n in nodes and d.origin in reached:
-                key, bases, intent = nodes[n]
+                key, bases, intent, fld = nodes[n]
                 if d.base == intent and len(d.chain) == 1 and d.chain[0][0] == "e":
                     reached[d.origin][1].update(((key, d.chain[0][1]), (key, WILD)))
-                elif bases is None or d.base in bases:
+                elif d.base in bases and (fld is None or d.chain[:1] in ((("f", fld),), (WILD,))):
                     reached[d.origin][1].add(key)
         for source, (app, keys) in reached.items():
             if not keys.isdisjoint(window.out):
@@ -1070,13 +1100,14 @@ def _analyze_set(
     by_app: dict[str, list[IccLink]],
     config: SourceSinkConfig,
     reuse: Optional[_Reuse] = None,
+    seen: Container[tuple[StmtId, StmtId]] = frozenset(),  # pairs not to trace
 ) -> tuple[list[TaintedPath], list[Diagnostic], float]:
     started = time.perf_counter()
     if reuse is None:  # a window on its own
         apps = [by_id[a] for a in app_ids]
         held = holders(apps)
-        edges = build_iac_graph(list(app_ids), [x for a in app_ids for x in by_app.get(a, ())], held).edges
-        reuse = _Reuse(apps, by_app, [app_ids], held, edges)
+        graph = build_iac_graph(apps, [x for a in app_ids for x in by_app.get(a, ())], held)
+        reuse = _Reuse(apps, by_app, [app_ids], held, graph)
     window = reuse.window(app_ids)
     if reuse.idle(window, config.sources):
         reuse.record(window, {}, {})
@@ -1088,7 +1119,7 @@ def _analyze_set(
     cfg = build_cfg(inst, config, window.skip)
     res = propagate(cfg, config, window.skip)
     reuse.record(window, res.preds, {call.sid: link.from_stmt for link, call in inst.redirects.items()})
-    paths = extract_paths(res, cfg)
+    paths = extract_paths(res, cfg, seen)
     return paths, list(cfg.diagnostics), time.perf_counter() - started
 
 
@@ -1105,7 +1136,7 @@ def analyze(
     ``max_len`` apps that one walk along link direction covers. Windows run
     in order, and results merge deterministically: overlapping windows may
     rediscover the same (origin, sink) pair, which is reported once, with the
-    first window's path.
+    first window's path; a later window does not trace it again.
 
     Windows share work without changing the report (see ``_Reuse``). An app
     that lies in several windows is instrumented once, and each window adds
@@ -1122,22 +1153,19 @@ def analyze(
     """
     report = AnalysisReport()
     held = holders(apps)
-    graph = build_iac_graph([a.app_id for a in apps], links, held)
+    graph = build_iac_graph(apps, links, held)
     report.sets = [tuple(sorted(s)) for s in split_graph(graph, max_len)]
     by_id = {a.app_id: a for a in apps}
     by_app = links_by_app(links, held)
-    reuse = _Reuse(apps, by_app, report.sets, held, graph.edges)
+    reuse = _Reuse(apps, by_app, report.sets, held, graph)
     seen: set[tuple[StmtId, StmtId]] = set()
     merged_paths: list[TaintedPath] = []
     for group in report.sets:
-        paths, diags, elapsed = _analyze_set(group, by_id, by_app, config, reuse)
+        paths, diags, elapsed = _analyze_set(group, by_id, by_app, config, reuse, seen)
         report.timings.append(("+".join(group), elapsed))
         report.diagnostics.extend(diags)
-        for p in paths:
-            key = (p.source, p.sink)
-            if key not in seen:
-                seen.add(key)
-                merged_paths.append(p)
+        seen.update((p.source, p.sink) for p in paths)
+        merged_paths += paths
     report.paths = sorted(merged_paths, key=lambda p: (p.source, p.sink))
     return report
 

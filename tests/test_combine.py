@@ -83,7 +83,7 @@ def test_graph_keeps_only_cross_app_edges():
         _link("A", "Ghost", 4),  # unknown endpoint: ignored
     ]
     held = {f"{app}/{cls}": app for app in "ABC" for cls in ("Main", "Target")}
-    g = build_iac_graph(["A", "B", "C"], links, held)
+    g = build_iac_graph([_model(app) for app in "CBA"], links, held)
     assert g.nodes == ["A", "B", "C"]
     assert sorted(g.edges) == [("A", "B"), ("A", "C"), ("B", "A")]
     assert g.edges[("A", "B")] == [links[1]] and g.edges[("B", "A")] == [links[2]]  # one edge per direction
@@ -91,9 +91,11 @@ def test_graph_keeps_only_cross_app_edges():
     assert [a for a, b in g.edges if b == "C"] == ["A"]
     # an edge joins the apps that hold the ends, not the ends' origin apps
     one_holder = {"A/Main": "AB", "B/Target": "AB"}
-    assert build_iac_graph(["AB"], [_link("A", "B")], one_holder).edges == {}
+    assert build_iac_graph([_model("AB")], [_link("A", "B")], one_holder).edges == {}
     two_holders = {"A/Main": "A", "A/Target": "B"}
-    assert build_iac_graph(["A", "B"], [_link("A", "A")], two_holders).edges == {("A", "B"): [_link("A", "A")]}
+    assert build_iac_graph([_model("A"), _model("B")], [_link("A", "A")], two_holders).edges == {
+        ("A", "B"): [_link("A", "A")]
+    }
 
 
 def _graph(nodes, pairs, for_result=()):
@@ -305,7 +307,7 @@ def _same_report_as_reference(apps, config, max_len):
     in order, first window wins, reports; returns both plans' sizes."""
     links = match_links(resolve_corpus(apps), apps).links
     got = analyze(apps, links, config, max_len)
-    windows = _reference_plan(build_iac_graph([a.app_id for a in apps], links, holders(apps)), max_len)
+    windows = _reference_plan(build_iac_graph(apps, links, holders(apps)), max_len)
     by_id = {a.app_id: a for a in apps}
     by_app = links_by_app(links, holders(apps))
     want = AnalysisReport()
@@ -343,3 +345,88 @@ def test_shared_mix_report_matches_the_reference_plan(monkeypatch, default_confi
     apps = [parse_app(text).app for text in texts]
     sets, windows = _same_report_as_reference(apps, default_config, 3)
     assert sets * 5 < windows
+
+
+# ---------------------------------------------------------------------------
+# a qualified call between two apps joins them, both ways
+# ---------------------------------------------------------------------------
+
+LEAKS_BY_CALL = """
+app "A" {
+  component activity Main {
+    filter { action "com.a.MAIN"; }
+    method onCreate(this) {
+      x = source "getDeviceId"
+      call "B/Util".leak(x)
+    }
+  }
+}
+""", """
+app "B" {
+  class Util {
+    method leak(v) {
+      sink "writeLog" v
+    }
+  }
+}
+"""
+
+# B's source returns into A, whose intent takes it on to X; A's intent also
+# starts Y, so the four apps need walks, and only B -> A -> X covers the leak
+RETURNS_BY_CALL = """
+app "A" {
+  component activity Main {
+    filter { action "com.a.MAIN"; }
+    method onCreate(this) {
+      x = call "B/Util".get()
+      i = new_intent
+      set_action i "com.x.GO"
+      put_extra i "k" x
+      icc start_activity i
+    }
+  }
+}
+""", """
+app "B" {
+  class Util {
+    method get() {
+      s = source "getDeviceId"
+      return s
+    }
+  }
+}
+""", """
+app "X" {
+  component activity Recv {
+    filter { action "com.x.GO"; }
+    method onCreate(this) {
+      j = get_intent
+      v = get_extra j "k"
+      sink "writeLog" v
+    }
+  }
+}
+""", """
+app "Y" {
+  component activity Deaf {
+    filter { action "com.x.GO"; }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("texts, max_len, sets, pair", [
+    (LEAKS_BY_CALL, 2, [("A", "B")], ("A/Main/onCreate/b0/0", "B/Util/leak/b0/0")),
+    (RETURNS_BY_CALL, 3, [("A", "B", "X"), ("A", "B", "Y")], ("B/Util/get/b0/0", "X/Recv/onCreate/b0/2")),
+])
+def test_a_qualified_call_between_two_apps_joins_them(default_config, texts, max_len, sets, pair):
+    apps = [parse_app(text).app for text in texts]
+    links = match_links(resolve_corpus(apps), apps).links
+    graph = build_iac_graph(apps, links, holders(apps))
+    assert graph.edges[("A", "B")] == graph.edges[("B", "A")] == []
+    report = analyze(apps, links, default_config, max_len)
+    assert report.sets == sets
+    assert report.diagnostics == []
+    got = {(p.source, p.sink) for p in report.paths}
+    assert {(str(a), str(b)) for a, b in got} == {pair}
+    assert got == oracle.oracle_pairs(apps, default_config)

@@ -188,7 +188,8 @@ MOVABLE = (ComponentKind.ACTIVITY, ComponentKind.SERVICE, ComponentKind.RECEIVER
 def _moves(apps):
     """Each corpus with one component moved into a new app ``Host``, which
     declares it ``from`` its origin. Only components that call no class
-    move: a plain call between two apps makes no window."""
+    move: a call by an unqualified class name between two apps makes no
+    window."""
     for app in apps:
         if len(app.components) < 2:
             continue

@@ -108,7 +108,7 @@ def _window_cfgs(corpus, max_len):
     held = holders(apps)
     by_app = links_by_app(links, held)
     out = []
-    for window in split_graph(build_iac_graph(list(by_id), links, held), max_len):
+    for window in split_graph(build_iac_graph(apps, links, held), max_len):
         cfg = build_cfg(whole_window([by_id[a] for a in sorted(window)], by_app))
         out.append((cfg, propagate(cfg, CONFIG)))
     return out
@@ -382,6 +382,27 @@ app "Z" {
 }
 """
 
+# A's source leaves A by a call into Z's class, which sinks it
+CALLS_OUT = """
+app "A" {
+  component activity Main {
+    filter { action "com.a.MAIN"; }
+    method onCreate(this) {
+      x = source "getDeviceId"
+      call "Z/Util".leak(x)
+    }
+  }
+}
+""", """
+app "Z" {
+  class Util {
+    method leak(v) {
+      sink "writeLog" v
+    }
+  }
+}
+"""
+
 STORED_INTENT = """
 app "A" {
   component activity D {
@@ -402,6 +423,95 @@ app "A" {
   }
 }
 """
+
+# S's intent reaches D by an intra-app link; D hands its own object, which
+# holds that intent, to C.foo, whose get_intent reads it once Z's link
+# gives C a getIntent
+PASSED_INTENT = """
+app "A" {
+  component activity S {
+    filter { action "com.a.S"; }
+    method onCreate(this) {
+      x = source "getDeviceId"
+      i = new_intent
+      set_target i "A/D"
+      put_extra i "k" x
+      icc start_activity i
+    }
+  }
+  component activity D {
+    method onCreate(this) {
+      call "A/C".foo(this)
+    }
+  }
+  component activity C {
+    filter { action "com.a.C"; }
+    method foo(this) {
+      j = get_intent
+      v = get_extra j "k"
+      sink "writeLog" v
+    }
+  }
+}
+"""
+
+# C's own method taints its object under a variable extra key, a WILD
+# selector, which C's get_intent reads once Z's link gives C a getIntent:
+# no store to intent_for_ipc and no call from another class
+WILD_THIS = """
+app "A" {
+  component activity B {
+    filter { action "com.a.B"; }
+  }
+  component activity C {
+    filter { action "com.a.C"; }
+    method onCreate(this) {
+      x = source "getDeviceId"
+      k = "any"
+      put_extra this k x
+      j = get_intent
+      sink "writeLog" j
+    }
+  }
+}
+"""
+
+HIDDEN = """
+app "A" {
+  component activity Front {
+    filter { action "com.a.FRONT"; }
+  }
+  component activity Hidden {
+    method onCreate(this) {
+      x = source "getDeviceId"
+      sink "writeLog" x
+    }
+  }
+}
+"""
+
+# Echo keeps its source's intent in a field of its own; getIntentFAR reads
+# intent_for_ar back for a caller that asked for a result
+KEPT = """
+app "A" {
+  component activity Echo {
+    filter { action "com.a.ECHO"; }
+    method onCreate(this) {
+      x = source "getDeviceId"
+      j = new_intent
+      put_extra j "k" x
+      this.%s = j
+    }
+  }
+}
+"""
+
+
+def _kept(fld):
+    return [KEPT % fld,
+            STARTER % ("M", 'set_action i "com.a.ECHO"', "start_activity", ""),
+            STARTER % ("Z", 'set_action i "com.a.ECHO"', "start_activity_for_result", SINK_RESULT)]
+
 
 TRIPLES = {
     # Z starts a component that only other apps root
@@ -444,6 +554,34 @@ TRIPLES = {
          STARTER % ("Z", 'set_action i "com.a.C"', "start_activity", "")],
         ("A/D/onCreate/b0/0", "A/C/foo/b0/1"),
     ),
+    # Z enters C, which D's call hands an object holding the intent S sent
+    "entry_reads_a_passed_intent": (
+        [PASSED_INTENT,
+         STARTER % ("M", 'set_action i "com.a.S"', "start_activity", ""),
+         STARTER % ("Z", 'set_action i "com.a.C"', "start_activity", "")],
+        ("A/S/onCreate/b0/0", "A/C/foo/b0/2"),
+    ),
+    # Z enters C, whose own object carries the source under a WILD selector
+    "entry_reads_a_wild_this": (
+        [WILD_THIS,
+         STARTER % ("M", 'set_action i "com.a.B"', "start_activity", ""),
+         STARTER % ("Z", 'set_action i "com.a.C"', "start_activity", "")],
+        ("A/C/onCreate/b0/0", "A/C/onCreate/b0/4"),
+    ),
+    # Z roots Hidden, which holds the source and has no filter
+    "new_root": (
+        [HIDDEN,
+         STARTER % ("M", 'set_action i "com.a.FRONT"', "start_activity", ""),
+         STARTER % ("Z", 'set_target i "A/Hidden"', "start_activity", "")],
+        ("A/Hidden/onCreate/b0/0", "A/Hidden/onCreate/b0/1"),
+    ),
+    # Z asks Echo for a result, which Echo's own store into intent_for_ar holds
+    "kept_result": (_kept("intent_for_ar"), ("A/Echo/onCreate/b0/0", "Z/Main/onActivityResult/b0/1")),
+    # A calls into Z by qualified class name, and no link joins the two
+    "call_out": (
+        [CALLS_OUT[0], STARTER % ("M", 'set_action i "com.a.MAIN"', "start_activity", ""), CALLS_OUT[1]],
+        ("A/Main/onCreate/b0/0", "Z/Util/leak/b0/0"),
+    ),
     # Z calls into A by qualified class name
     "qualified_call": (
         [SHARED_UTIL,
@@ -463,6 +601,16 @@ def test_a_later_window_that_differs_reports_the_pair(monkeypatch, case):
     assert report.sets == [("A", "M"), ("A", "Z")]
     assert (source, sink) in {(str(p.source), str(p.sink)) for p in report.paths}
     _check_against_full_merge(monkeypatch, apps, 2)
+
+
+def test_a_result_link_reads_back_only_intent_for_ar(monkeypatch):
+    """Echo's source reaches its driver's exit only under ``this.f``, which
+    no ``getIntentFAR`` reads, so window (A, Z) skips it."""
+    apps = [parse_app(text).app for text in _kept("f")]
+    links = match_links(resolve_corpus(apps), apps).links
+    assert analyze(apps, links, CONFIG, 2).paths == []
+    skips = _check_against_full_merge(monkeypatch, apps, 2)
+    assert [sorted(map(str, s)) for s in skips] == [[], ["A/Echo/onCreate/b0/0"]]
 
 
 # ---------------------------------------------------------------------------

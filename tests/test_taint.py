@@ -785,7 +785,7 @@ def test_windows_do_not_share_state(bench_root, default_config):
     assert not diags
     links = match_links(resolve_corpus(apps), apps).links
     texts = [serialize_app(a) for a in apps]
-    graph = build_iac_graph([a.app_id for a in apps], links, holders(apps))
+    graph = build_iac_graph(apps, links, holders(apps))
     windows = [tuple(sorted(s)) for s in split_graph(graph, 3)]
     assert any(sum(a.app_id in w for w in windows) > 1 for a in apps)
     by_id = {a.app_id: a for a in apps}
