@@ -5,8 +5,10 @@ the parser report the same as a base checkout does.
     python3 scripts/report_identity.py --base ../iccflow-base [--head .]
 
 Runs ``python -m iccflow.cli`` from each checkout's ``src`` on the same
-inputs and compares standard output, exit status, and standard error
-without its ``[time]`` lines. The inputs are the benchmark corpora
+inputs and compares standard output, exit status, and standard error.
+Older checkouts' ``analyze`` also printed a ``[time]`` line per window to
+standard error; those lines are dropped before comparing, which matters
+only for a base checkout that old. The inputs are the benchmark corpora
 ``dense`` and ``sparse`` (``--max-len 2``) and ``widen`` (``--max-len 3``),
 seeds 1 and 2, and ``dense`` seed 3, built with the head's
 ``perfbench/workloads.py``;

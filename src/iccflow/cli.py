@@ -1,9 +1,9 @@
 """Command-line front end for the whole pipeline.
 
 Subcommands: check, links, instrument, combine, analyze, bench. Reports go
-to standard output (byte-identical across runs);
-diagnostics and timings go to standard error. Exit status 0 on success, 1
-when analysis-level diagnostics were produced, 2 on usage errors.
+to standard output and diagnostics to standard error, both byte-identical
+across runs. Exit status 0 on success, 1 when analysis-level diagnostics
+were produced, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -103,8 +103,6 @@ def _cmd_analyze(args) -> int:
     _print_diags(result.diagnostics)
     report = analyze(apps, result.links, config, max_len=args.max_len)
     _print_diags(report.diagnostics)
-    for name, seconds in report.timings:
-        print(f"[time] {name}: {seconds:.3f}s", file=sys.stderr)
     sys.stdout.write(render_report(report, args.format))
     return 1 if (result.diagnostics or report.diagnostics) else 0
 

@@ -15,7 +15,6 @@ were made.
 
 from __future__ import annotations
 
-import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Container, Iterable, NamedTuple, Optional
@@ -767,7 +766,6 @@ class AnalysisReport:
     paths: list[TaintedPath] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
     sets: list[tuple[str, ...]] = field(default_factory=list)
-    timings: list[tuple[str, float]] = field(default_factory=list)
 
 
 class _Window(NamedTuple):
@@ -1046,8 +1044,6 @@ class _Reuse:
             links = [link for a in window.apps for link in self.intra.get(a, ())]
             merged = models[0] if len(models) == 1 else combine(models)
             return instrument_model(merged, sorted(links + window.links))
-        if len(parts) == 1:
-            return parts[0]
         return link_window(combine(parts), [by_id[a] for a in window.apps], window.links)
 
     def _part(self, app: str, by_id: dict[str, AppModel]) -> Optional[AppModel]:
@@ -1101,8 +1097,7 @@ def _analyze_set(
     config: SourceSinkConfig,
     reuse: Optional[_Reuse] = None,
     seen: Container[tuple[StmtId, StmtId]] = frozenset(),  # pairs not to trace
-) -> tuple[list[TaintedPath], list[Diagnostic], float]:
-    started = time.perf_counter()
+) -> tuple[list[TaintedPath], list[Diagnostic]]:
     if reuse is None:  # a window on its own
         apps = [by_id[a] for a in app_ids]
         held = holders(apps)
@@ -1111,16 +1106,16 @@ def _analyze_set(
     window = reuse.window(app_ids)
     if reuse.idle(window, config.sources):
         reuse.record(window, {}, {})
-        return [], [], time.perf_counter() - started
+        return [], []
     try:
         inst = reuse.instrument(window, by_id)
     except InstrumentError as exc:
-        return [], [Diagnostic("error", str(exc))], time.perf_counter() - started
+        return [], [Diagnostic("error", str(exc))]
     cfg = build_cfg(inst, config, window.skip)
     res = propagate(cfg, config, window.skip)
     reuse.record(window, res.preds, {call.sid: link.from_stmt for link, call in inst.redirects.items()})
     paths = extract_paths(res, cfg, seen)
-    return paths, list(cfg.diagnostics), time.perf_counter() - started
+    return paths, list(cfg.diagnostics)
 
 
 def analyze(
@@ -1161,8 +1156,7 @@ def analyze(
     seen: set[tuple[StmtId, StmtId]] = set()
     merged_paths: list[TaintedPath] = []
     for group in report.sets:
-        paths, diags, elapsed = _analyze_set(group, by_id, by_app, config, reuse, seen)
-        report.timings.append(("+".join(group), elapsed))
+        paths, diags = _analyze_set(group, by_id, by_app, config, reuse, seen)
         report.diagnostics.extend(diags)
         seen.update((p.source, p.sink) for p in paths)
         merged_paths += paths

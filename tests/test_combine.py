@@ -313,7 +313,7 @@ def _same_report_as_reference(apps, config, max_len):
     want = AnalysisReport()
     seen = set()
     for window in windows:
-        paths, diags, _ = _analyze_set(tuple(sorted(window)), by_id, by_app, config)
+        paths, diags = _analyze_set(tuple(sorted(window)), by_id, by_app, config)
         want.diagnostics.extend(diags)
         for p in paths:
             if (p.source, p.sink) not in seen:

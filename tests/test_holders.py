@@ -161,7 +161,7 @@ def test_a_call_into_a_class_from_another_origin_is_a_boundary():
     apps = _parse(SHAPE_5)
     links = match_links(resolve_corpus(apps), apps).links
     by_id = {a.app_id: a for a in apps}
-    paths, _, _ = _analyze_set(("B", "C"), by_id, links_by_app(links, holders(apps)), CONFIG)
+    paths, _ = _analyze_set(("B", "C"), by_id, links_by_app(links, holders(apps)), CONFIG)
     assert {(p.source, p.sink) for p in paths} == oracle.oracle_pairs(apps, CONFIG)
 
 

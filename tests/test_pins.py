@@ -9,8 +9,9 @@ checkout to compare against.
   ``analyze`` text report, then one line per path in report order with its
   source, sink and every witness statement.
 
-It also checks that ``analyze corpus/bench`` prints the same bytes, and the
-same standard error but for ``[time]`` lines, under two hash seeds.
+It also checks that ``analyze``, ``links``, ``combine`` and ``bench`` on
+``corpus/bench`` print the same exit status, standard output and standard
+error under two hash seeds.
 
 Print the current digests with ``PYTHONPATH=src python3 tests/test_pins.py``.
 """
@@ -80,16 +81,16 @@ def test_workload_report_and_witnesses_are_pinned(name, tmp_path):
 
 
 def test_analyze_prints_the_same_bytes_under_any_hash_seed():
-    argv = [sys.executable, "-m", "iccflow.cli", "analyze", str(REPO / "corpus" / "bench"),
-            "--config", str(CONFIG)]
-    runs = []
-    for seed in ("0", "1"):
-        env = {**_subprocess_env(), "PYTHONHASHSEED": seed}
-        proc = subprocess.run(argv, capture_output=True, env=env)
-        err = [line for line in proc.stderr.splitlines() if not line.startswith(b"[time]")]
-        runs.append((proc.returncode, proc.stdout, err))
-    assert runs[0] == runs[1]
-    assert runs[0][0] == 0 and runs[0][1].count(b"\n") > 10
+    bench, config = str(REPO / "corpus" / "bench"), str(CONFIG)
+    for args in (["analyze", bench, "--config", config], ["links", bench], ["combine", bench],
+                 ["bench", bench, "--config", config]):
+        runs = []
+        for seed in ("0", "1"):
+            env = {**_subprocess_env(), "PYTHONHASHSEED": seed}
+            proc = subprocess.run([sys.executable, "-m", "iccflow.cli", *args], capture_output=True, env=env)
+            runs.append((proc.returncode, proc.stdout, proc.stderr))
+        assert runs[0] == runs[1], args[0]
+        assert runs[0][0] == 0 and runs[0][1].count(b"\n") > 10, args[0]
 
 
 if __name__ == "__main__":

@@ -175,7 +175,7 @@ def _check_against_full_merge(monkeypatch, apps, max_len):
     by_app = links_by_app(links, holders(apps))
     want = AnalysisReport()
     for window, skip, was_idle in zip(windows, skips, idle):
-        paths, diags, _ = _analyze_set(window, by_id, by_app, CONFIG)
+        paths, diags = _analyze_set(window, by_id, by_app, CONFIG)
         reported = {(p.source, p.sink) for p in want.paths}
         for p in paths:
             if p.source in skip:
