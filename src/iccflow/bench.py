@@ -22,7 +22,7 @@ from typing import Optional
 from .icc import match_links, resolve_corpus
 from .ir import Diagnostic, StmtId
 from .parser import load_corpus
-from .taint import SourceSinkConfig, TaintedPath, analyze
+from .taint import SourceSinkConfig, analyze
 
 _CLASSES = ("Intra", "ICC", "IAC")
 
@@ -80,7 +80,6 @@ class CaseResult:
     hits: int = 0
     fp: int = 0
     fn: int = 0
-    reported: list[TaintedPath] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     @property
@@ -133,7 +132,6 @@ def run_case(case_dir: str, config: SourceSinkConfig) -> CaseResult:
 
     links = match_links(resolve_corpus(apps), apps)
     report = analyze(apps, links.links, config)
-    result.reported = report.paths
 
     tag_of: dict[StmtId, str] = {}
     for tag, sids in tags.items():

@@ -1,12 +1,12 @@
 """Intent value resolution and ICC link matching.
 
 For every ICC call statement this module computes an abstract description of
-the intent flowing into it (explicit target, action, categories, data type,
-known extra keys), joined over all CFG paths that reach the call. The values
-are then matched against intent filters, corpus-wide, to produce resolved
-links. Matching draws its candidates from an index of components by kind and
-by the actions their filters declare; only a site whose action or target is
-Top scans every component of the wanted kind.
+the intent flowing into it (explicit target, action, categories and data
+type: what filter matching reads), joined over all CFG paths that reach the
+call. The values are then matched against intent filters, corpus-wide, to
+produce resolved links. Matching draws its candidates from an index of
+components by kind and by the actions their filters declare; only a site
+whose action or target is Top scans every component of the wanted kind.
 
 Interprocedural precision is one call level deep (k=1): a method that
 receives an intent argument is re-analyzed under the join of all values its
@@ -46,14 +46,7 @@ from .ir import (
 
 
 class _TopType:
-    """Singleton lattice top for string-set attributes."""
-
-    _instance: Optional["_TopType"] = None
-
-    def __new__(cls) -> "_TopType":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Lattice top for string-set attributes; ``TOP`` is its one instance."""
 
     def __repr__(self) -> str:
         return "TOP"
@@ -87,12 +80,10 @@ class IntentValue:
     actions: StrSet = frozenset()
     categories: StrSet = frozenset()
     data_types: StrSet = frozenset({UNSET})
-    extras_keys: frozenset = frozenset()
-    extras_complete: bool = True
 
     @staticmethod
     def top() -> "IntentValue":
-        return IntentValue(TOP, TOP, TOP, TOP, frozenset(), False)
+        return IntentValue(TOP, TOP, TOP, TOP)
 
     def join(self, other: "IntentValue") -> "IntentValue":
         return IntentValue(
@@ -100,8 +91,6 @@ class IntentValue:
             join_sets(self.actions, other.actions),
             join_sets(self.categories, other.categories),
             join_sets(self.data_types, other.data_types),
-            self.extras_keys | other.extras_keys,
-            self.extras_complete and other.extras_complete,
         )
 
     @property
@@ -218,11 +207,8 @@ def _apply_stmt(stmt: Stmt, env: dict, sink: "_ValueSink") -> None:
             written = join_sets(iv.categories, written)
         env[stmt.intent] = replace(iv, **{attr: written})
     elif isinstance(stmt, PutExtra):
-        iv = _as_intent(env.get(stmt.intent))
-        if stmt.key.is_literal:
-            env[stmt.intent] = replace(iv, extras_keys=iv.extras_keys | {stmt.key.text})
-        else:
-            env[stmt.intent] = replace(iv, extras_complete=False)
+        # Extras are not matched, but the variable now holds an intent.
+        env[stmt.intent] = _as_intent(env.get(stmt.intent))
     elif isinstance(stmt, IccCall):
         _join_into(sink.icc_values, stmt.sid, _as_intent(env.get(stmt.intent)))
     elif isinstance(stmt, Call):
@@ -398,6 +384,9 @@ def match_links(
                 continue
             want = ICC_KINDS[kind]
 
+            def link(comp: Component, exact: bool) -> None:
+                links.add(IccLink(sid, kind, comp.qualified_name, exact, comp.origin_app != sid.app))
+
             for qname in value.explicit_targets:
                 if "/" not in qname:
                     # bare names target the sender's own app
@@ -411,15 +400,13 @@ def match_links(
                         warning(f"unresolved link: {sid} -> {qname!r} ({reason})")
                     )
                     continue
-                links.add(
-                    IccLink(sid, kind, qname, True, target.origin_app != sid.app)
-                )
+                link(target, True)
 
             if not value.may_be_implicit:
                 continue
             if value.targets is TOP:
                 for comp in by_kind.get(want, ()):
-                    links.add(IccLink(sid, kind, comp.qualified_name, False, comp.origin_app != sid.app))
+                    link(comp, False)
                 continue
             if value.actions is TOP:
                 candidates = by_kind.get(want, ())
@@ -437,9 +424,7 @@ def match_links(
                     if m is not None:
                         best = m if best is None else (best or m)
                 if best is not None:
-                    links.add(
-                        IccLink(sid, kind, comp.qualified_name, best, comp.origin_app != sid.app)
-                    )
+                    link(comp, best)
 
     result.links = sorted(links)
     return result

@@ -110,9 +110,6 @@ class Operand:
     text: str
     is_literal: bool
 
-    def __str__(self) -> str:
-        return f'"{self.text}"' if self.is_literal else self.text
-
 
 def Lit(text: str) -> Operand:
     return Operand(text, True)

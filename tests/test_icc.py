@@ -109,20 +109,12 @@ app "T" {
         actions=frozenset({"a2"}),
         categories=frozenset({"c1", "c2"}),
         data_types=frozenset({"t2"}),
-        extras_keys=frozenset({"k"}),
     )
-    # a key the analysis cannot name leaves the known keys incomplete
-    assert opaque_key == IntentValue(
-        targets=frozenset({"B"}),
-        actions=frozenset({"a2"}),
-        categories=frozenset({"c1", "c2"}),
-        data_types=frozenset({"t2"}),
-        extras_keys=frozenset({"k"}),
-        extras_complete=False,
-    )
+    # extras are not matched: even a key the analysis cannot name changes nothing
+    assert opaque_key == written
     assert received == IntentValue.top()
     # a string on one path and an intent on the other join to the Top intent
-    assert merged == IntentValue(TOP, frozenset({"z"}), TOP, TOP, frozenset(), False)
+    assert merged == IntentValue(TOP, frozenset({"z"}), TOP, TOP)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +446,117 @@ app "A" {{
         IccLink(StmtId("A", "Main", "onCreate", "last", 0), "start_activity", "A/Target", True, False)
     ]
     assert res.diagnostics == []
+
+
+# ---------------------------------------------------------------------------
+# One case per resolution rule
+# ---------------------------------------------------------------------------
+
+RULES_APP = """
+app "R" {
+  component activity Main {
+    filter { action "MAIN"; }
+    callback onPick(this, choice) {
+%s
+    }
+  }
+  component activity One {
+    filter { action "ONE"; }
+  }
+  component activity Two {
+    filter { action "TWO"; }
+  }
+  component activity Typed {
+    filter { action "ONE"; data_type "text/plain"; }
+  }
+}
+"""
+
+EVERY_ACTIVITY = [("R/Main", False), ("R/One", False), ("R/Two", False), ("R/Typed", False)]
+
+RULE_CASES = {
+    # a copy carries a string and an intent alike
+    "copy": (
+        """
+      i = new_intent
+      s = "ONE"
+      t = s
+      set_action i t
+      j = i
+      icc start_activity j""",
+        [("R/One", True)],
+    ),
+    # a string where an intent is expected is the Top intent
+    "string_sent": (
+        """
+      s = "ONE"
+      icc start_activity s""",
+        EVERY_ACTIVITY,
+    ),
+    # the loop is walked until its head's environment stops changing
+    "loop": (
+        """
+      i = new_intent
+      set_action i "ONE"
+      goto head
+    head:
+      icc start_activity i
+      set_action i "TWO"
+      branch head out
+    out:
+      return""",
+        [("R/One", True), ("R/Two", True)],
+    ),
+    # a site that neither pass reaches still gets a value: Top
+    "unreached": (
+        """
+      i = new_intent
+      set_action i "ONE"
+      return
+    dead:
+      icc start_activity i""",
+        EVERY_ACTIVITY,
+    ),
+    # a Top data type matches every filter that the action matches, fuzzily
+    "top_data_type": (
+        """
+      i = new_intent
+      set_action i "ONE"
+      set_data_type i choice
+      icc start_activity i""",
+        [("R/One", False), ("R/Typed", False)],
+    ),
+    # put_extra makes its variable an intent: the string it held is lost
+    "extra_on_string": (
+        """
+      i = new_intent
+      s = "ONE"
+      v = "x"
+      put_extra s "k" v
+      set_action i s
+      icc start_activity i""",
+        [("R/Main", False), ("R/One", False), ("R/Two", False)],
+    ),
+}
+
+
+@pytest.mark.parametrize("body, want", RULE_CASES.values(), ids=list(RULE_CASES))
+def test_each_resolution_rule(body, want):
+    res = _links(_app(RULES_APP % body))
+    assert sorted((l.to, l.exact) for l in res.links) == want
+    assert res.diagnostics == []
+
+
+def test_a_variable_read_before_it_is_assigned_is_the_empty_string():
+    body = """
+      i = new_intent
+      set_action i s
+      icc start_activity i
+      s = "ONE"
+"""
+    (value,) = resolve_intent_values(_app(RULES_APP % body)).values()
+    fields = (value.targets, value.actions, value.categories, value.data_types)
+    assert fields == (frozenset({UNSET}), frozenset({""}), frozenset(), frozenset({UNSET}))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""No module of the package imports a name it never uses, and only
-``combine`` splits a qualified name.
+"""No module of the package imports a name it never uses or defines a
+private helper nothing uses, and only ``combine`` splits a qualified name.
 
 A name a module imports at top level must appear in its code or in its
 ``__all__``; ``from __future__`` imports are exempt. Deleting the last use
 of an imported name then fails here until the import goes too.
+
+A private top-level function, class or constant (``_name``) must be named
+somewhere in the package outside its own definition, so deleting its last
+caller fails here until the helper goes too.
 
 Which app holds a class is read from ``combine.holders``, not off the origin
 app in a qualified name ``"app/Class"``, so no other module splits on ``/``.
@@ -43,6 +47,44 @@ def test_the_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_private(sources: list[str]) -> list[str]:
+    """The private top-level names of ``sources`` no other statement names."""
+    defined: list[tuple[str, ast.stmt]] = []
+    named: list[tuple[ast.stmt, set[str]]] = []
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(n, stmt) for n in names if n.startswith("_") and not n.startswith("__")]
+            refs = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    refs.add(node.name)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    refs.add(node.value)  # a quoted annotation
+            named.append((stmt, refs))
+    return [n for n, home in defined if not any(n in refs for stmt, refs in named if stmt is not home)]
+
+
+def test_the_guard_sees_an_unused_private_helper():
+    module = "_LIMIT = 3\n_UNUSED = 4\ndef _helper(n):\n    return _helper(n - 1)\ndef run(x: '_Box'):\n    return _LIMIT\n"
+    other = "from .m import _used\nclass _Box:\n    pass\ndef _used():\n    pass\n"
+    assert unused_private([module, other]) == ["_UNUSED", "_helper"]
+
+
+def test_no_unused_private_helpers():
+    assert unused_private([path.read_text(encoding="utf-8") for path in MODULES]) == []
 
 
 def name_splits(source: str) -> list[int]:

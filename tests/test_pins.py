@@ -7,7 +7,9 @@ checkout to compare against.
 * each benchmark workload at seed 1, built by ``perfbench/workloads.py``
   (``dense`` and ``sparse`` at ``--max-len 2``, ``widen`` at 3): the
   ``analyze`` text report, then one line per path in report order with its
-  source, sink and every witness statement.
+  source, sink and every witness statement;
+* ``iccflow links`` on the same three workloads: the links on standard
+  output, then the link diagnostics on standard error.
 
 It also checks that ``analyze``, ``links``, ``combine`` and ``bench`` on
 ``corpus/bench`` print the same exit status, standard output and standard
@@ -19,13 +21,16 @@ Print the current digests with ``PYTHONPATH=src python3 tests/test_pins.py``.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from iccflow.cli import main
 from iccflow.icc import match_links, resolve_corpus
 from iccflow.parser import load_corpus
 from iccflow.taint import analyze, load_config, render_report
@@ -66,6 +71,14 @@ def workload_digest(name: str, directory: Path) -> str:
     return _sha(render_report(report, "text") + "".join(lines))
 
 
+def links_digest(name: str, directory: Path) -> str:
+    workloads.generate(name, 1).write(directory)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        main(["links", str(directory)])
+    return _sha(out.getvalue() + err.getvalue())
+
+
 def _pinned() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -78,6 +91,11 @@ def test_instrument_output_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_report_and_witnesses_are_pinned(name, tmp_path):
     assert workload_digest(name, tmp_path / name) == _pinned()[f"analyze {name} seed 1"]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_links_are_pinned(name, tmp_path):
+    assert links_digest(name, tmp_path / name) == _pinned()[f"links {name} seed 1"]
 
 
 def test_analyze_prints_the_same_bytes_under_any_hash_seed():
@@ -100,5 +118,8 @@ if __name__ == "__main__":
         digests = {f"instrument corpus/{n}": instrument_digest(n) for n in ("bench", "motivating")}
         digests.update(
             {f"analyze {n} seed 1": workload_digest(n, Path(tmp) / n) for n in sorted(WORKLOADS)}
+        )
+        digests.update(
+            {f"links {n} seed 1": links_digest(n, Path(tmp) / "links" / n) for n in sorted(WORKLOADS)}
         )
     print(json.dumps(digests, indent=2))
