@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Check that ``iccflow analyze``, ``links``, ``bench``, ``instrument`` and
-the parser report the same as a base checkout does.
+"""Check that ``iccflow analyze``, ``links``, ``combine``, ``bench``,
+``instrument`` and the parser report the same as a base checkout does.
 
     python3 scripts/report_identity.py --base ../iccflow-base [--head .]
 
@@ -20,9 +20,11 @@ and every window whose apps cannot warn is idle (not built), while the
 others must still warn once per window; ``bench corpus/bench`` as text and
 as TSV;
 ``instrument`` on ``corpus/bench``, ``corpus/motivating`` and the three
-seed-1 workload corpora, so every ``dummyMain`` they get is compared; and
+seed-1 workload corpora, so every ``dummyMain`` they get is compared;
 ``links``, the resolved intent links, on every workload corpus and on
-``corpus/bench``.
+``corpus/bench``; and ``combine``, the window plan, on the three seed-1
+workload corpora at ``--max-len`` 2 and 3 and on ``corpus/bench`` at 2, 3
+and 4.
 Reports show only a path's length, so it also compares every path's full
 statement list, printed by ``WITNESSES`` in-process against each
 checkout's ``src``, on each of those workload corpora and on
@@ -128,10 +130,13 @@ def cases(head: Path, work: Path) -> list[tuple[str, list[str]]]:
         snippets.append((f"{name} seed {seed} witnesses", [WITNESSES, str(corpus), str(max_len), config]))
         if seed == 1:
             out.append((f"instrument {name} seed {seed}", ["instrument", str(corpus)]))
+            out += [(f"combine {name} seed {seed} max-len {n}", ["combine", str(corpus), "--max-len", str(n)])
+                    for n in (2, 3)]
             snippets.append((f"{name} seed {seed} parse", [PARSES, str(corpus)]))
     bench = str(head / "corpus" / "bench")
     snippets.append(("corpus/bench max-len 3 witnesses", [WITNESSES, bench, "3", config]))
     for max_len in (2, 3, 4):
+        out.append((f"combine corpus/bench max-len {max_len}", ["combine", bench, "--max-len", str(max_len)]))
         for fmt in ("text", "tsv"):
             out.append((f"corpus/bench max-len {max_len} {fmt}",
                         ["analyze", bench, "--max-len", str(max_len), "--format", fmt,

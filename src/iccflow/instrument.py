@@ -322,8 +322,7 @@ def _redirect_sites(
 
     A link in ``known`` gets a copy of its call there. Any other link gets a
     redirect on a new helper class ``IpcSC`` of ``out``, which its call names
-    as ``cls``; its target gets the accessors the redirect uses and becomes a
-    root.
+    as ``cls``; its target gets the accessors the redirect uses.
     """
     by_qualified = {c.qualified_name: c for c in out.components}
     helper = Component(name="IpcSC", kind=ComponentKind.CLASS, synthetic=True, origin_app=out.app_id)
@@ -342,9 +341,7 @@ def _redirect_sites(
             if link in known:
                 calls.append(replace(known[link]))
                 continue
-            target = by_qualified[link.to]
-            target.rooted = True
-            redirect = _redirect_body(len(helper.helpers), link, comp, target)
+            redirect = _redirect_body(len(helper.helpers), link, comp, by_qualified[link.to])
             _stamp(redirect, out.app_id, "IpcSC")
             helper.helpers.append(redirect)
             far = link.kind == "start_activity_for_result"
@@ -381,17 +378,9 @@ def instrument_model(model: AppModel, links: list[IccLink]) -> AppModel:
     components = [_own(c, touched) for c in model.components]
     out = replace(model, components=components, redirects={})
     _redirect_sites(out, groups, {}, "IpcSC")
-
-    linked_targets = {link.to for sid_links in groups.values() for link in sid_links}
     for comp in out.components:
-        if comp.kind is ComponentKind.CLASS:
-            continue
-        if comp.kind is ComponentKind.PROVIDER:
-            comp.rooted = False
-            continue
-        comp.helpers.append(synthesize_dummy_main(comp))
-        comp.rooted = bool(comp.filters) or comp.qualified_name in linked_targets
-
+        if comp.kind not in (ComponentKind.CLASS, ComponentKind.PROVIDER):
+            comp.helpers.append(synthesize_dummy_main(comp))
     return out
 
 

@@ -376,9 +376,6 @@ class Component:
     helpers: list[Method] = field(default_factory=list)
     synthetic: bool = False
     origin_app: str = ""
-    # Set by the instrumenter: whether this component's driver is an analysis
-    # entry point. None means "derive from filters" (pre-instrumentation).
-    rooted: Optional[bool] = field(default=None, compare=False)
 
     @property
     def qualified_name(self) -> str:
@@ -403,7 +400,7 @@ class AppModel:
     app_id: str
     components: list[Component] = field(default_factory=list)
     source_path: Optional[str] = field(default=None, compare=False)
-    # Set by the instrumenter: each link's call.
+    # Set by the instrumenter: each realized link's call; its target is a root.
     redirects: dict[object, Call] = field(default_factory=dict, compare=False, repr=False)
 
     def component(self, name: str) -> Optional[Component]:

@@ -203,7 +203,7 @@ class _MethodShape:
 
 
 def _resolve_callee(
-    cfg: Cfg,
+    diagnostics: list[Diagnostic],
     comp: Component,
     stmt: Call,
     by_name: dict[str, list[Component]],
@@ -221,13 +221,13 @@ def _resolve_callee(
             (c for c in named if c.synthetic), None
         )
     if target is None:
-        cfg.diagnostics.append(
+        diagnostics.append(
             warning(f"call to unknown class {stmt.cls!r} at {stmt.sid}")
         )
         return None
     m = target.find_method(stmt.method)
     if m is None:
-        cfg.diagnostics.append(
+        diagnostics.append(
             warning(f"call to unknown method {target.name}.{stmt.method} at {stmt.sid}")
         )
         return None
@@ -239,7 +239,7 @@ _ACCESSORS = {GetIntent: "getIntent", SetResult: "setResult"}
 
 
 def _call_info_for(
-    cfg: Cfg,
+    diagnostics: list[Diagnostic],
     comp: Component,
     stmt: Stmt,
     by_name: dict[str, list[Component]],
@@ -252,7 +252,7 @@ def _call_info_for(
     they are opaque (get_intent yields a clean value, set_result is a no-op).
     """
     if isinstance(stmt, Call):
-        resolved = _resolve_callee(cfg, comp, stmt, by_name, by_qualified)
+        resolved = _resolve_callee(diagnostics, comp, stmt, by_name, by_qualified)
         if resolved is None:
             return None
         target, m = resolved
@@ -278,14 +278,21 @@ def _by_name(model: AppModel) -> tuple[dict[str, list[Component]], dict[str, Com
     return by_name, {comp.qualified_name: comp for comp in model.components}
 
 
+def _rooted(components: Iterable[Component], targets: set[str]) -> set[str]:
+    """The qualified names of the components whose driver is an entry point:
+    those that declare a filter, which the framework can start, and
+    ``targets``, which a link starts through its redirect."""
+    return {c.qualified_name for c in components if c.filters} | targets
+
+
 def build_cfg(
     model: AppModel, config: Optional[SourceSinkConfig] = None, skip: frozenset[StmtId] = frozenset()
 ) -> Cfg:
     """Per-method flow graphs plus the call wiring of each call statement.
 
-    Roots are the dummyMain entries of startable components (components whose
-    ``rooted`` flag is set, or that declare a filter when the flag is unset)
-    plus any method literally named ``main``.
+    Roots are the dummyMain entries of the components ``_rooted`` names, with
+    the targets of the links the model realized (its ``redirects``), plus any
+    method literally named ``main``.
 
     Every statement is resolved, in method order, into ``stmts``, ``calls``
     and the diagnostics. With a ``config``, only the methods that calls reach
@@ -309,14 +316,14 @@ def build_cfg(
         for block in method.blocks:
             for stmt in block.stmts:
                 cfg.stmts[stmt.sid] = stmt
-                info = _call_info_for(cfg, comp, stmt, by_name, by_qualified)
+                info = _call_info_for(cfg.diagnostics, comp, stmt, by_name, by_qualified)
                 if info is not None:
                     cfg.calls[stmt.sid] = info
                     callees.setdefault(mk, []).append(info.callee)
 
+    rooted = _rooted(model.components, {link.to for link in model.redirects})
     for comp in model.components:
-        rooted = comp.rooted if comp.rooted is not None else bool(comp.filters)
-        if rooted and comp.kind.is_component:
+        if comp.qualified_name in rooted and comp.kind.is_component:
             dm = comp.find_method("dummyMain")
             if dm is not None:
                 cfg.roots.append(("entry", (comp.origin_app, comp.name, dm.name)))
@@ -935,7 +942,7 @@ class _Reuse:
         self.cross = graph.edges  # by (call-site app, target app)
         self.intra = {a.app_id: [x for x in by_app.get(a.app_id, ()) if held.get(x.to) == a.app_id] for a in apps}
         self.fed = {x.to for links in self.intra.values() for x in links}  # a part's ctor/getIntent
-        self.rooted = self.fed | {c.qualified_name for a in apps for c in a.components if c.filters}
+        self.rooted = _rooted((c for a in apps for c in a.components), self.fed)  # its parts' roots
         # app -> boundary node -> (key, the fact bases that leave there, the
         # ICC site's intent, whose one-extra facts are keyed per key, the
         # field a fact on ``this`` leaves under, or with a ``WILD`` head)
@@ -958,7 +965,7 @@ class _Reuse:
         nodes = self.boundary[app.app_id] = {}
         self.reads.update((c.qualified_name, _reads(c)) for c in app.components)
         sources = self.sources[app.app_id] = []
-        resolved, (by_name, by_qualified) = Cfg(model=app), _by_name(app)
+        warned, (by_name, by_qualified) = [], _by_name(app)
         this = frozenset(("this",))
         for comp in app.components:
             qname = comp.qualified_name
@@ -978,11 +985,11 @@ class _Reuse:
                         elif isinstance(stmt, GetIntent):
                             nodes[node] = ((qname, INTENT_FIELD), this, None, INTENT_FIELD)
                         elif isinstance(stmt, Call):
-                            _resolve_callee(resolved, comp, stmt, by_name, by_qualified)
+                            _resolve_callee(warned, comp, stmt, by_name, by_qualified)
         calls = self.calls_out.get(app.app_id, [])
         nodes.update((("stmt", c.sid), (c.sid, frozenset(c.args), None, None)) for c, _ in calls)
         sites = [_locate(app, sid) for sid in {link.from_stmt for link in sent}]
-        if not (calls or resolved.diagnostics or _already_instrumented(app)) and all(
+        if not (calls or warned or _already_instrumented(app)) and all(
             [c.origin_app == app.app_id for c in app.components]
             + [link.to not in providers for link in sent]
             + [site is not None and isinstance(site[2].stmts[site[3]], IccCall) for site in sites]

@@ -347,6 +347,28 @@ def test_shared_mix_report_matches_the_reference_plan(monkeypatch, default_confi
     assert sets * 5 < windows
 
 
+@pytest.mark.parametrize("max_len, windows", [(2, 50), (3, 53)])
+def test_shared_progen_pairs_are_the_oracle_pairs_of_the_windows(
+    monkeypatch, default_config, max_len, windows
+):
+    # 40 progen corpora with shared action strings: implicit links cross
+    # replicas, and the engine finds what a concrete run of each window finds.
+    # No bench replica: startActivity4's fuzzy links, the bench's one false
+    # warning, reach every activity, which no concrete run does
+    monkeypatch.setitem(
+        workloads.SHAPES, "progen", workloads.Shape(progen=40, bench=0, shared=True, max_len=max_len)
+    )
+    apps = [parse_app(text).app for text in workloads.generate("progen", 1).files().values()]
+    by_id = {app.app_id: app for app in apps}
+    links = match_links(resolve_corpus(apps), apps).links
+    report = analyze(apps, links, default_config, max_len)
+    assert (len(apps), len(report.sets)) == (54, windows) and not report.diagnostics
+    got = {(p.source, p.sink) for p in report.paths}
+    want = set().union(*(oracle.oracle_pairs([by_id[a] for a in s], default_config) for s in report.sets))
+    assert got == want
+    assert len(got) == 66 and sum(p.klass == "IAC" for p in report.paths) == 10
+
+
 # ---------------------------------------------------------------------------
 # a qualified call between two apps joins them, both ways
 # ---------------------------------------------------------------------------

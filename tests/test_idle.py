@@ -14,7 +14,8 @@ import pytest
 
 import progen
 from iccflow import taint
-from iccflow.icc import match_links, resolve_corpus
+from iccflow.icc import IccLink, match_links, resolve_corpus
+from iccflow.ir import StmtId
 from iccflow.parser import load_corpus, parse_app
 from iccflow.taint import SourceSinkConfig, analyze
 from test_reuse import CONFIG, REPO, _mix
@@ -23,10 +24,11 @@ from test_reuse import CONFIG, REPO, _mix
 NO_SOURCES = SourceSinkConfig(frozenset(), CONFIG.sinks)
 
 
-def _run(apps, config, max_len, full=False):
+def _run(apps, config, max_len, full=False, extra=()):
     """The report, each window's idle decision, and the number of
-    ``build_cfg`` calls; with ``full``, no window is idle."""
-    links = match_links(resolve_corpus(apps), apps).links
+    ``build_cfg`` calls; with ``full``, no window is idle. ``extra`` links
+    are analyzed on top of the matched ones."""
+    links = match_links(resolve_corpus(apps), apps).links + list(extra)
     decisions, built = [], []
     real_idle, real_cfg = taint._Reuse.idle, taint.build_cfg
 
@@ -45,10 +47,10 @@ def _run(apps, config, max_len, full=False):
     return report, decisions, len(built)
 
 
-def _assert_idle_is_exact(apps, config, max_len):
+def _assert_idle_is_exact(apps, config, max_len, extra=()):
     """Returns the number of idle windows."""
-    got, decisions, built = _run(apps, config, max_len)
-    want, _, built_in_full = _run(apps, config, max_len, full=True)
+    got, decisions, built = _run(apps, config, max_len, extra=extra)
+    want, _, built_in_full = _run(apps, config, max_len, full=True, extra=extra)
     assert got.paths == want.paths  # witness statement lists included
     assert got.diagnostics == want.diagnostics
     assert got.sets == want.sets
@@ -153,3 +155,29 @@ def test_a_window_whose_sources_are_all_unconfigured_is_idle():
     report, decisions, built = _run(apps, live, 2)
     assert decisions == [False, True] and built == 1 and len(report.paths) == 2
     _assert_idle_is_exact(apps, live, 2)
+
+
+@pytest.mark.parametrize(
+    "site, error",
+    [
+        (StmtId("A", "Main", "onCreate", "b0", 0), "is not an icc call"),
+        (StmtId("A", "Main", "onCreate", "b0", 99), "no longer exists"),
+    ],
+    ids=["not_icc", "missing"],
+)
+def test_an_idle_window_does_not_swallow_an_instrumentation_error(site, error):
+    """A link from a statement that is no ICC call, or from none at all,
+    fails each window its app lies in, though no window holds a source."""
+    sender = _activity("A", "-", ['x = "s"'], sends=["GO"]).replace('    filter { action "-"; }\n', "")
+    apps = _apps(sender, _activity("B", "GO", ["g = get_intent"]), _activity("C", "GO", ["g = get_intent"]))
+    assert not apps[0].components[0].filters
+    report, decisions, built = _run(apps, NO_SOURCES, 2)
+    assert report.sets == [("A", "B"), ("A", "C")]
+    assert decisions == [True, True] and not report.diagnostics
+    bad = IccLink(site, "start_activity", "A/Main", True, False)
+    report, decisions, built = _run(apps, NO_SOURCES, 2, extra=[bad])
+    assert report.sets == [("A", "B"), ("A", "C")]
+    assert decisions == [False, False] and built == 0
+    message = f"link source statement {site} {error}"
+    assert [(d.severity, d.message) for d in report.diagnostics] == [("error", message)] * 2
+    _assert_idle_is_exact(apps, NO_SOURCES, 2, extra=[bad])

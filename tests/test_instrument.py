@@ -13,6 +13,7 @@ from iccflow.instrument import (
 )
 from iccflow.ir import Branch, Call, ComponentKind, Goto, IccCall, Return, StmtId
 from iccflow.parser import load_app, parse_app, serialize_app
+from iccflow.taint import build_cfg
 
 GOLDEN = Path(__file__).parent / "golden" / "listing1_instrumented.cir"
 DRIVERS_GOLDEN = Path(__file__).parent / "golden" / "drivers_instrumented.cir"
@@ -106,12 +107,23 @@ def test_helper_class_is_synthetic_and_carries_no_filters():
     assert [m.name for m in helper.helpers] == ["redirect0"]
 
 
+def _roots(model):
+    """The components whose ``dummyMain`` is a root of the model's flow graph."""
+    return [mk[1] for _, mk in build_cfg(model).roots if mk[2] == "dummyMain"]
+
+
 def test_rooted_flags():
-    app = _app(SINGLE)
+    app = _app(
+        SINGLE.replace(
+            "component activity Second {",
+            'component provider Store {\n    filter { action "S"; }\n  }\n  component activity Second {',
+        )
+    )
     out = instrument_model(app, _resolve(app))
-    assert out.component("Main").rooted is True  # has a filter
-    assert out.component("Second").rooted is True  # link target
-    # IpcSC is a plain class: no rooted driver at all
+    # Main has a filter, Second is a link target; a provider that declares a
+    # filter gets no driver, and IpcSC is a plain class: no driver at all
+    assert _roots(out) == ["Main", "Second"]
+    assert out.component("Store").filters and out.component("Store").find_method("dummyMain") is None
     assert out.component("IpcSC").find_method("dummyMain") is None
 
 
@@ -123,7 +135,7 @@ def test_unlinked_unfiltered_component_is_not_rooted():
         )
     )
     out = instrument_model(app, _resolve(app))
-    assert out.component("Orphan").rooted is False
+    assert _roots(out) == ["Main", "Second"]
     assert out.component("Orphan").find_method("dummyMain") is not None
 
 
@@ -282,12 +294,12 @@ app "R" {
 
 
 def _shape(apps):
-    """What instrumenting could change in place: text, rooted flags and
-    method counts of every component."""
+    """What instrumenting could change in place: text and method counts of
+    every component."""
     return [
         (
             serialize_app(app),
-            [(c.rooted, len(c.lifecycle), len(c.callbacks), len(c.helpers)) for c in app.components],
+            [(len(c.lifecycle), len(c.callbacks), len(c.helpers)) for c in app.components],
         )
         for app in apps
     ]
